@@ -158,6 +158,181 @@ TEST(Assemble, MixedPatternPartsAreRejected)
                  bl::error);
 }
 
+// The eager coalesced solve and the graph-recorded one (record, replay,
+// scatter, then rebind to new values and replay again) must agree bit for
+// bit on every solver, every legal (format, preconditioner) pair of
+// Table 3, and every storage route: native, an fp32 request on native
+// matrices, and matrices already compressed to fp32. The illegal pairs
+// must be refused by both paths alike.
+TEST(Assemble, RecordedReplayBitIdenticalToEagerAcrossTable3)
+{
+    using bl::precond::type;
+    constexpr index_type rows = 16;
+    const std::vector<index_type> part_items{2, 1, 3};
+    const std::vector<solver::solver_type> solvers{
+        solver::solver_type::cg, solver::solver_type::bicgstab,
+        solver::solver_type::gmres, solver::solver_type::richardson};
+    const std::vector<solver::matrix_format> formats{
+        solver::matrix_format::csr, solver::matrix_format::ell,
+        solver::matrix_format::dense};
+    const std::vector<type> preconds{type::none, type::jacobi, type::ilu,
+                                     type::isai, type::block_jacobi};
+    enum class route { native, fp32_request, fp32_matrix };
+
+    // SPD stencil batches (so CG applies), one per part, sharing one
+    // pattern; `seed` varies the values between the record and the
+    // rebind round.
+    const auto make_parts_data = [&](solver::matrix_format f, route r,
+                                     std::uint64_t seed) {
+        std::vector<solver::batch_matrix<double>> as;
+        std::vector<mat::batch_dense<double>> bs;
+        for (std::size_t p = 0; p < part_items.size(); ++p) {
+            const mat::batch_csr<double> csr = work::stencil_3pt<double>(
+                part_items[p], rows, seed + p);
+            solver::batch_matrix<double> a = csr;
+            if (f == solver::matrix_format::ell) {
+                a = mat::to_ell(csr);
+            } else if (f == solver::matrix_format::dense) {
+                a = mat::to_dense(csr);
+            }
+            if (r == route::fp32_matrix) {
+                std::visit(
+                    [](auto& m) {
+                        m.set_storage_precision(
+                            mat::storage_precision::fp32);
+                    },
+                    a);
+            }
+            as.push_back(std::move(a));
+            bs.push_back(
+                work::random_rhs<double>(part_items[p], rows, seed + 50 + p));
+        }
+        return std::make_pair(std::move(as), std::move(bs));
+    };
+    const auto parts_of = [](std::vector<solver::batch_matrix<double>>& as,
+                             std::vector<mat::batch_dense<double>>& bs,
+                             std::vector<mat::batch_dense<double>>& xs) {
+        std::vector<solver::assembly_part<double>> parts;
+        for (std::size_t p = 0; p < as.size(); ++p) {
+            parts.push_back({&as[p], &bs[p], &xs[p]});
+        }
+        return parts;
+    };
+    const auto zero_guesses = [&] {
+        std::vector<mat::batch_dense<double>> xs;
+        for (const index_type items : part_items) {
+            xs.emplace_back(items, rows, 1);
+        }
+        return xs;
+    };
+    const auto flat = [](const std::vector<mat::batch_dense<double>>& xs) {
+        std::vector<double> out;
+        for (const auto& x : xs) {
+            out.insert(out.end(), x.values().begin(), x.values().end());
+        }
+        return out;
+    };
+
+    int legal = 0;
+    int illegal = 0;
+    for (const solver::solver_type s : solvers) {
+        for (const solver::matrix_format f : formats) {
+            for (const type pc : preconds) {
+                for (const route r : {route::native, route::fp32_request,
+                                      route::fp32_matrix}) {
+                    solver::solve_options opts;
+                    opts.solver = s;
+                    opts.preconditioner = pc;
+                    opts.criterion = stop::relative(1e-8, 60);
+                    opts.storage = r == route::fp32_request
+                                       ? mat::storage_precision::fp32
+                                       : mat::storage_precision::native;
+                    auto [as, bs] = make_parts_data(f, r, 300);
+                    std::vector<mat::batch_dense<double>> rec_x =
+                        zero_guesses();
+                    auto rec_parts = parts_of(as, bs, rec_x);
+                    const std::string where =
+                        solver::to_string(s) + " / " +
+                        solver::to_string(f) + " / precond " +
+                        std::to_string(static_cast<int>(pc)) + " / route " +
+                        std::to_string(static_cast<int>(r));
+
+                    const bool csr_only = pc == type::ilu ||
+                                          pc == type::isai ||
+                                          pc == type::block_jacobi;
+                    if (csr_only && f != solver::matrix_format::csr) {
+                        bl::xpu::queue q(bl::xpu::make_sycl_policy());
+                        EXPECT_THROW(
+                            solver::solve_coalesced<double>(q, rec_parts,
+                                                            opts),
+                            bl::unsupported_combination)
+                            << where;
+                        EXPECT_THROW(solver::recorded_solve<double>::record(
+                                         q, rec_parts, opts),
+                                     bl::unsupported_combination)
+                            << where;
+                        ++illegal;
+                        continue;
+                    }
+                    ++legal;
+
+                    bl::xpu::queue rq(bl::xpu::make_sycl_policy());
+                    auto rec = solver::recorded_solve<double>::record(
+                        rq, rec_parts, opts);
+                    // Round 0 replays the recorded values; round 1
+                    // rebinds fresh values and initial guesses first.
+                    for (int round = 0; round < 2; ++round) {
+                        auto [eas, ebs] =
+                            make_parts_data(f, r, 300 + 17 * round);
+                        std::vector<mat::batch_dense<double>> eager_x =
+                            zero_guesses();
+                        if (round == 1) {
+                            for (auto& x : eager_x) {
+                                x.fill(0.25);
+                            }
+                            as = eas;
+                            bs = ebs;
+                            rec_x = eager_x;
+                            rec_parts = parts_of(as, bs, rec_x);
+                            ASSERT_TRUE(rec->compatible(rec_parts, opts))
+                                << where;
+                            rec->rebind(rec_parts);
+                        }
+                        bl::xpu::queue eq(bl::xpu::make_sycl_policy());
+                        const solver::solve_result eager =
+                            solver::solve_coalesced<double>(
+                                eq, parts_of(eas, ebs, eager_x), opts);
+                        rec->replay(rq);
+                        rec->scatter(rec_parts);
+                        EXPECT_EQ(flat(rec_x), flat(eager_x))
+                            << where << " round " << round;
+                        EXPECT_EQ(rec->log().all_iterations(),
+                                  eager.log.all_iterations())
+                            << where << " round " << round;
+                        EXPECT_EQ(rec->log().all_residual_norms(),
+                                  eager.log.all_residual_norms())
+                            << where << " round " << round;
+                    }
+                }
+            }
+        }
+    }
+    // 4 solvers x 9 legal pairs x 3 routes; 4 x 6 illegal pairs x 3.
+    EXPECT_EQ(legal, 108);
+    EXPECT_EQ(illegal, 72);
+
+    // BatchTrsv is a direct solve with no recordable graph.
+    auto [as, bs] =
+        make_parts_data(solver::matrix_format::csr, route::native, 300);
+    std::vector<mat::batch_dense<double>> xs = zero_guesses();
+    solver::solve_options trsv;
+    trsv.solver = solver::solver_type::trsv;
+    bl::xpu::queue q(bl::xpu::make_sycl_policy());
+    EXPECT_THROW(
+        solver::recorded_solve<double>::record(q, parts_of(as, bs, xs), trsv),
+        bl::error);
+}
+
 // The tentpole correctness property: routing requests through the service
 // produces bit-identical solutions and identical convergence records to
 // solo solves, for every worker count, batching window, and spill-zeroing
