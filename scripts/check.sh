@@ -51,7 +51,8 @@
 #     and open-loop overload, asserting zero lost tickets, balanced
 #     backlog books after drain, and bit-identity of successful solves
 #     against solo references — in the Release build and again under the
-#     instrumented checked build.
+#     instrumented checked build, with the chaos soak repeated 20 times
+#     in each.
 # The sanitizer passes are what prove the pooled launch resources, the
 # reused spill backing, the serving layer's locking, and the solver
 # kernels' SPMD discipline race- and UB-free.
@@ -162,13 +163,19 @@ echo "== config 10/10: failover + chaos soak at two shards"
 # (death + revival + hang + poison + open-loop overload, >= 1000 solves)
 # — first in the Release build, then under the instrumented checked
 # build so the fault injector and the failover paths themselves run with
-# the execution-model sanitizer watching. Every fault plan is fixed, so
-# both runs are bounded and reproducible.
+# the execution-model sanitizer watching. Every fault plan is fixed, but
+# how far a storm gets through it depends on thread timing, so the soak
+# runs until its chaos has happened (within a time bound) and is repeated
+# 20 times per build to surface timing-dependent failures.
 ctest --test-dir build \
   -R '^(FaultPlan|LaneGuard|Failover|Shedding|ChaosSoak)\.' \
   -j "$JOBS" --output-on-failure | tail -3
+build/tests/test_failover --gtest_filter='ChaosSoak.*' \
+  --gtest_repeat=20 --gtest_brief=1 | tail -3
 ctest --test-dir build-check \
   -R '^(FaultPlan|LaneGuard|Failover|Shedding|ChaosSoak)\.' \
   -j "$JOBS" --output-on-failure | tail -3
+build-check/tests/test_failover --gtest_filter='ChaosSoak.*' \
+  --gtest_repeat=20 --gtest_brief=1 | tail -3
 
 echo "== all ten configs clean"

@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <optional>
@@ -47,39 +46,6 @@ bool entries_compatible(const detail::pending_entry& lhs,
         },
         lhs.body);
 }
-
-// Temporary stage probe (BATCHLIN_SERVE_STAGE_PROBE=1): accumulates
-// per-stage wall time across all workers, printed at stop().
-struct stage_probe {
-    std::atomic<std::uint64_t> ns[10] = {};
-    std::atomic<std::uint64_t> batches{0};
-    static bool on()
-    {
-        // Read-only env lookup; nothing in batchlin calls setenv.
-        // NOLINTNEXTLINE(concurrency-mt-unsafe)
-        static const bool v = std::getenv("BATCHLIN_SERVE_STAGE_PROBE");
-        return v;
-    }
-};
-inline stage_probe g_stage_probe;
-struct stage_timer {
-    std::chrono::steady_clock::time_point t;
-    stage_timer()
-    {
-        if (stage_probe::on()) t = std::chrono::steady_clock::now();
-    }
-    void lap(int i)
-    {
-        if (!stage_probe::on()) return;
-        auto n = std::chrono::steady_clock::now();
-        g_stage_probe.ns[i].fetch_add(
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(n - t)
-                    .count()),
-            std::memory_order_relaxed);
-        t = n;
-    }
-};
 
 }  // namespace
 
@@ -283,19 +249,6 @@ void solve_service::stop()
     }
     if (watchdog_.joinable()) {
         watchdog_.join();
-    }
-    if (stage_probe::on()) {
-        const double n = std::max<double>(
-            1.0, static_cast<double>(g_stage_probe.batches.load()));
-        static const char* names[] = {"pop",   "group", "exec_total",
-                                      "parts", "solve", "scatter",
-                                      "stats", "wake"};
-        std::fprintf(stderr, "stage probe (%0.0f batches), us/batch:\n", n);
-        for (int i = 0; i < 8; ++i) {
-            std::fprintf(stderr, "  %-10s %8.2f\n", names[i],
-                         static_cast<double>(g_stage_probe.ns[i].load()) /
-                             1e3 / n);
-        }
     }
     // A submitter that passed the accepting check just before stop() may
     // have published an entry the exiting workers no longer saw; resolve
@@ -546,10 +499,8 @@ void solve_service::migrate_entry(shard_lane& from,
     }
     const auto [rows, nnz] = std::visit(
         [](const auto& typed) {
-            return std::make_pair(
-                std::visit([](const auto& m) { return m.rows(); },
-                           typed.request.a),
-                detail::nnz_per_item(typed.request.a));
+            return std::make_pair(solver::rows_of(typed.request.a),
+                                  solver::pattern_nnz(typed.request.a));
         },
         entry->body);
     const shard::decision where =
@@ -1024,7 +975,6 @@ void solve_service::persistent_loop(index_type shard_id, int local_id)
         // accumulated — under load the ring itself is the window (entries
         // pile up while the previous batch solves), and when idle there
         // is nothing to wait for.
-        stage_timer st;
         std::vector<detail::pending_ptr> chunk;
         index_type total = 0;
         auto pop_from = [&](shard_lane& lane) {
@@ -1088,7 +1038,6 @@ void solve_service::persistent_loop(index_type shard_id, int local_id)
             continue;
         }
         idle = 0;
-        st.lap(0);  // pop
         const int brownout = brownout_for_depth(
             ring_systems_.load(std::memory_order_acquire));
 
@@ -1120,14 +1069,12 @@ void solve_service::persistent_loop(index_type shard_id, int local_id)
                 }
             }
             const std::size_t popped = group.size();
-            st.lap(1);  // group
             try {
                 execute(own, q, cache, std::move(group), brownout);
             } catch (...) {
                 // execute() resolves tickets individually; see
                 // worker_loop for why nothing may escape.
             }
-            st.lap(2);  // execute (total)
             ring_in_flight_.fetch_sub(popped, std::memory_order_acq_rel);
         }
     }
@@ -1179,7 +1126,6 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
                                   std::vector<detail::pending_ptr> batch,
                                   int brownout)
 {
-    stage_timer st;
     const auto launch_time = std::chrono::steady_clock::now();
     launch_age_scope age(lane.launch_started_ns, steady_now_ns());
     std::vector<detail::pending_ptr> live;
@@ -1199,9 +1145,8 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
     if (!live.empty()) {
         const auto& front =
             std::get<detail::typed_pending<T>>(live.front()->body);
-        batch_rows = std::visit([](const auto& m) { return m.rows(); },
-                                front.request.a);
-        batch_nnz = detail::nnz_per_item<T>(front.request.a);
+        batch_rows = solver::rows_of(front.request.a);
+        batch_nnz = solver::pattern_nnz(front.request.a);
     }
 
     // Wake timing: resolution only ever wakes slots a waiter registered
@@ -1420,10 +1365,8 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
             };
 
             index_type fused_attempts = 0;
-            st.lap(3);  // split + parts build
             std::optional<solver::solve_result> combined =
                 attempt_with_retries(parts, total, fused_attempts);
-            st.lap(4);  // solve (rebind+replay or eager)
             if (combined) {
                 if (config_.failover) {
                     lane.consecutive_exhausted.store(
@@ -1537,7 +1480,6 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
             fail_remaining("unknown error in batch execution");
         }
     }
-    st.lap(5);  // reply scatter (split_log + moves + try_reply)
 
     // Retire the batch's routed cost from the lane backlog (atomic, so
     // the router's lock-free reads stay consistent without the mutex).
@@ -1615,7 +1557,6 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
                              config_.breaker_cooldown);
         }
     }
-    st.lap(6);  // stats lock
 
     // Deferred wake sweep: every entry of the batch is resolved by now,
     // so a client blocked on its first fused request wakes once and
@@ -1625,8 +1566,6 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
     for (conc::atomic<std::uint32_t>* word : wake_list) {
         detail::futex_wake_all(*word);
     }
-    st.lap(7);  // wake sweep
-    g_stage_probe.batches.fetch_add(1, std::memory_order_relaxed);
 }
 
 template void solve_service::execute_typed<double>(

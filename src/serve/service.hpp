@@ -340,26 +340,6 @@ std::uint64_t coalesce_key(const solver::batch_matrix<T>& a,
     return h;
 }
 
-/// Stored nonzeros per batch item — the byte-volume input of the shard
-/// router's cost model.
-template <typename T>
-index_type nnz_per_item(const solver::batch_matrix<T>& a)
-{
-    return std::visit(
-        [](const auto& m) -> index_type {
-            using MatBatch = std::decay_t<decltype(m)>;
-            if constexpr (std::is_same_v<MatBatch, mat::batch_csr<T>>) {
-                return static_cast<index_type>(m.col_idxs().size());
-            } else if constexpr (std::is_same_v<MatBatch,
-                                                mat::batch_ell<T>>) {
-                return m.ell_width() * m.rows();
-            } else {
-                return m.rows() * m.cols();
-            }
-        },
-        a);
-}
-
 /// A queued request of one precision, with the slot its ticket waits
 /// on. The slot itself (waiter-bit states, resolve/wait protocol) lives
 /// in serve/reply_slot.hpp, generified over the payload so the conc::
@@ -491,10 +471,8 @@ public:
                             "serve:: does not scatter per-iteration "
                             "history; use a direct solve for that");
         request.opts.criterion.validate();
-        const index_type items = std::visit(
-            [](const auto& m) { return m.num_batch_items(); }, request.a);
-        const index_type rows =
-            std::visit([](const auto& m) { return m.rows(); }, request.a);
+        const index_type items = solver::items_of(request.a);
+        const index_type rows = solver::rows_of(request.a);
         BATCHLIN_ENSURE_MSG(items > 0, "empty solve request");
         BATCHLIN_ENSURE_DIMS(request.b.num_batch_items() == items &&
                                  request.x.num_batch_items() == items,
@@ -515,14 +493,7 @@ public:
                 mat::storage_precision::fp32 &&
             request.opts.refine_sweeps == 0 &&
             request.opts.solver != solver::solver_type::trsv) {
-            std::visit(
-                [](auto& m) {
-                    if (m.storage_mode() == mat::storage_precision::native) {
-                        m.set_storage_precision(
-                            mat::storage_precision::fp32);
-                    }
-                },
-                request.a);
+            solver::compress_storage(request.a);
         }
 
         const auto now = std::chrono::steady_clock::now();
@@ -534,7 +505,7 @@ public:
         const int priority = request.priority;
         const std::uint64_t key =
             detail::coalesce_key<T>(request.a, request.opts);
-        const index_type nnz = detail::nnz_per_item<T>(request.a);
+        const index_type nnz = solver::pattern_nnz(request.a);
 
         detail::typed_pending<T> typed{
             std::move(request),

@@ -28,11 +28,7 @@ struct assembly_part {
     const mat::batch_dense<T>* b = nullptr;
     mat::batch_dense<T>* x = nullptr;
 
-    index_type items() const
-    {
-        return std::visit(
-            [](const auto& m) { return m.num_batch_items(); }, *a);
-    }
+    index_type items() const { return items_of(*a); }
 };
 
 /// Whether two batches share format, dimensions, and sparsity pattern
@@ -78,11 +74,32 @@ namespace detail {
 template <typename T>
 index_type validate_assembly(const std::vector<assembly_part<T>>& parts);
 
-/// Builds one combined matrix carrying the shared pattern and every
-/// part's value blocks gathered batch-major (part order).
+/// The combined operands of one coalesced solve.
 template <typename T>
-batch_matrix<T> gather_matrix(const std::vector<assembly_part<T>>& parts,
-                              index_type total_items);
+struct assembled {
+    batch_matrix<T> a;
+    mat::batch_dense<T> b;
+    mat::batch_dense<T> x;
+};
+
+/// Builds the combined batch of a validated assembly — the shared
+/// pattern at the leader's storage mode — and gathers every part into it.
+template <typename T>
+assembled<T> gather(const std::vector<assembly_part<T>>& parts,
+                    index_type total_items);
+
+/// Copies every part's matrix values, right-hand side, and initial guess
+/// into combined operands of matching shape, batch-major in part order.
+/// Native parts narrow on copy into an fp32 combined matrix.
+template <typename T>
+void gather_into(const std::vector<assembly_part<T>>& parts,
+                 batch_matrix<T>& a, mat::batch_dense<T>& b,
+                 mat::batch_dense<T>& x);
+
+/// Copies the combined solution back into each part's x (part order).
+template <typename T>
+void scatter(const mat::batch_dense<T>& x,
+             const std::vector<assembly_part<T>>& parts);
 
 }  // namespace detail
 

@@ -42,6 +42,50 @@ matrix_format format_of(const batch_matrix<T>& a)
 
 std::string to_string(matrix_format f);
 
+/// Matrix order shared by every item of the batch.
+template <typename T>
+index_type rows_of(const batch_matrix<T>& a)
+{
+    return std::visit([](const auto& m) { return m.rows(); }, a);
+}
+
+template <typename T>
+index_type items_of(const batch_matrix<T>& a)
+{
+    return std::visit([](const auto& m) { return m.num_batch_items(); }, a);
+}
+
+template <typename T>
+mat::storage_precision storage_of(const batch_matrix<T>& a)
+{
+    return std::visit([](const auto& m) { return m.storage_mode(); }, a);
+}
+
+/// Stored nonzeros per batch item: the nnz the workspace planner sizes
+/// preconditioners by and the shard router's byte-volume input.
+template <typename T>
+index_type pattern_nnz(const batch_matrix<T>& a)
+{
+    if (const auto* csr = std::get_if<mat::batch_csr<T>>(&a)) {
+        return csr->nnz();
+    }
+    if (const auto* ell = std::get_if<mat::batch_ell<T>>(&a)) {
+        return ell->rows() * ell->ell_width();
+    }
+    const auto& dense = std::get<mat::batch_dense<T>>(a);
+    return static_cast<index_type>(dense.item_size());
+}
+
+/// Narrows the batch's values to fp32 storage in place (no-op when they
+/// already are).
+template <typename T>
+void compress_storage(batch_matrix<T>& a)
+{
+    std::visit(
+        [](auto& m) { m.set_storage_precision(mat::storage_precision::fp32); },
+        a);
+}
+
 /// All runtime knobs of one batched solve. Every combination of the first
 /// four fields corresponds to a cell of Table 3; the remaining fields are
 /// the performance-tuning switches of §3.5–3.6 (auto by default).

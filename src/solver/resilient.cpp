@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 
 #include "matrix/conversions.hpp"
@@ -91,24 +90,6 @@ mat::batch_csr<T> as_csr(const batch_matrix<T>& a)
         return mat::to_csr(*ell);
     }
     return mat::to_csr(std::get<mat::batch_dense<T>>(a));
-}
-
-/// Host-side 2-norm of each item of `v`.
-template <typename T>
-std::vector<double> item_norms(const mat::batch_dense<T>& v)
-{
-    std::vector<double> norms(static_cast<std::size_t>(
-        v.num_batch_items()));
-    for (index_type i = 0; i < v.num_batch_items(); ++i) {
-        double sum = 0.0;
-        const T* vals = v.item_values(i);
-        for (size_type k = 0; k < v.item_size(); ++k) {
-            const double e = static_cast<double>(vals[k]);
-            sum += e * e;
-        }
-        norms[static_cast<std::size_t>(i)] = std::sqrt(sum);
-    }
-    return norms;
 }
 
 /// Runs one stage over the gathered scope with launch retries. Returns the
