@@ -825,6 +825,156 @@ TEST(ServeResilience, PersistentFaultFailsWithStructuredError)
     EXPECT_EQ(s.completed_requests, 0u);
 }
 
+// ---------------------------------------------------------------------
+// Retry/degrade/fail counters pinned across every launch mode, with and
+// without iterative refinement, under one fixed fault plan. A request
+// rides alone in its batch (one submit per service), so its launch ids
+// are deterministic in every mode: the fused attempts come first, then
+// the solo re-solves of a degraded batch.
+// ---------------------------------------------------------------------
+
+namespace {
+
+struct counter_case {
+    bl::xpu::launch_mode mode;
+    bool refine;
+};
+
+class ServeCounters : public ::testing::TestWithParam<counter_case> {
+protected:
+    static constexpr index_type kItems = 3;
+    static constexpr index_type kRows = 16;
+
+    static solver::solve_options request_opts(bool refine)
+    {
+        solver::solve_options opts = cg_opts();
+        opts.criterion = stop::relative(1e-10, 200);
+        if (refine) {
+            opts.storage = mat::storage_precision::fp32;
+            opts.refine_sweeps = 3;
+        }
+        return opts;
+    }
+
+    /// Correction sweeps one clean refined solve of the test request
+    /// takes (0 with refinement off).
+    static std::uint64_t sweeps_per_solve(bool refine)
+    {
+        if (!refine) {
+            return 0;
+        }
+        const solver::batch_matrix<double> a =
+            work::stencil_3pt<double>(kItems, kRows, 151);
+        const auto b = work::random_rhs<double>(kItems, kRows, 152);
+        mat::batch_dense<double> x(kItems, kRows, 1);
+        bl::xpu::queue q(bl::xpu::make_sycl_policy());
+        solver::refine_options ropts;
+        ropts.max_sweeps = 3;
+        const solver::refined_result r = solver::solve_refined(
+            q, a, b, x, request_opts(true), ropts);
+        EXPECT_FALSE(r.fell_back);
+        return static_cast<std::uint64_t>(r.sweeps);
+    }
+
+    /// Serves one request on a fresh single-worker service whose worker
+    /// queue rejects `faulted` launches; returns the reply and the stats.
+    std::pair<serve::solve_reply<double>, serve::service_stats>
+    serve_one(const std::vector<std::uint64_t>& faulted) const
+    {
+        serve::service_config cfg;
+        cfg.workers = 1;
+        cfg.max_wait = microseconds(0);
+        cfg.launch_retries = 1;
+        cfg.retry_backoff = microseconds(1);
+        bl::xpu::exec_policy policy = faulted_policy(faulted);
+        policy.launch_mode = GetParam().mode;
+        serve::solve_service service(policy, cfg);
+        auto ticket = service.submit(make_request(
+            work::stencil_3pt<double>(kItems, kRows, 151),
+            request_opts(GetParam().refine), 152));
+        serve::solve_reply<double> reply = ticket.get();
+        service.drain();
+        return {std::move(reply), service.stats()};
+    }
+};
+
+}  // namespace
+
+TEST_P(ServeCounters, PinnedUnderFixedFaultPlan)
+{
+    const bool refine = GetParam().refine;
+    const std::uint64_t sweeps = sweeps_per_solve(refine);
+    const std::uint64_t refined = refine ? 1 : 0;
+    if (refine) {
+        ASSERT_GE(sweeps, 1u) << "the refined request must need a sweep";
+    }
+
+    {
+        // Transient: the first fused attempt faults, the retry succeeds.
+        SCOPED_TRACE("transient fault");
+        const auto [reply, s] = serve_one({0});
+        ASSERT_EQ(reply.status, serve::request_status::ok) << reply.error;
+        EXPECT_EQ(reply.attempts, 2);
+        EXPECT_EQ(reply.log.num_converged(), kItems);
+        EXPECT_EQ(s.launch_faults, 1u);
+        EXPECT_EQ(s.launch_retries, 1u);
+        EXPECT_EQ(s.recovered_requests, 1u);
+        EXPECT_EQ(s.degraded_launches, 0u);
+        EXPECT_EQ(s.failed_requests, 0u);
+        EXPECT_EQ(s.completed_requests, 1u);
+        EXPECT_EQ(s.refined_batches, refined);
+        EXPECT_EQ(s.refine_sweeps, sweeps);
+    }
+    {
+        // Exhausted: both fused attempts fault, the solo re-solve
+        // succeeds on its first attempt.
+        SCOPED_TRACE("exhausted retries");
+        const auto [reply, s] = serve_one({0, 1});
+        ASSERT_EQ(reply.status, serve::request_status::ok) << reply.error;
+        EXPECT_EQ(reply.attempts, 3);
+        EXPECT_EQ(reply.fused_systems, kItems);
+        EXPECT_EQ(s.launch_faults, 2u);
+        EXPECT_EQ(s.launch_retries, 1u);
+        EXPECT_EQ(s.recovered_requests, 1u);
+        EXPECT_EQ(s.degraded_launches, 1u);
+        EXPECT_EQ(s.failed_requests, 0u);
+        EXPECT_EQ(s.completed_requests, 1u);
+        EXPECT_EQ(s.refined_batches, refined);
+        EXPECT_EQ(s.refine_sweeps, sweeps);
+    }
+    {
+        // Persistent: fused and solo attempts all fault.
+        SCOPED_TRACE("persistent fault");
+        const auto [reply, s] = serve_one({0, 1, 2, 3});
+        EXPECT_EQ(reply.status, serve::request_status::failed);
+        EXPECT_EQ(reply.attempts, 4);
+        EXPECT_NE(reply.error.find("device fault persisted through 4"),
+                  std::string::npos)
+            << reply.error;
+        EXPECT_EQ(s.launch_faults, 4u);
+        EXPECT_EQ(s.launch_retries, 2u);
+        EXPECT_EQ(s.recovered_requests, 0u);
+        EXPECT_EQ(s.degraded_launches, 1u);
+        EXPECT_EQ(s.failed_requests, 1u);
+        EXPECT_EQ(s.completed_requests, 0u);
+        EXPECT_EQ(s.refined_batches, 0u);
+        EXPECT_EQ(s.refine_sweeps, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    , ServeCounters,
+    ::testing::Values(counter_case{bl::xpu::launch_mode::direct, false},
+                      counter_case{bl::xpu::launch_mode::direct, true},
+                      counter_case{bl::xpu::launch_mode::graph_replay, false},
+                      counter_case{bl::xpu::launch_mode::graph_replay, true},
+                      counter_case{bl::xpu::launch_mode::persistent, false},
+                      counter_case{bl::xpu::launch_mode::persistent, true}),
+    [](const ::testing::TestParamInfo<counter_case>& info) {
+        return bl::xpu::to_string(info.param.mode) +
+               (info.param.refine ? "_refined" : "_plain");
+    });
+
 TEST(ServeResilience, FaultStormTripsTheBreakerAndSuspendsCoalescing)
 {
     serve::service_config cfg;
