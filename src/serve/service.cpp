@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <exception>
-#include <optional>
 #include <string>
 #include <thread>
 
 #include "solver/refined.hpp"
 #include "workload/stencil.hpp"
-#include "xpu/fault.hpp"
+#include "xpu/retry.hpp"
 
 namespace batchlin::serve {
 
@@ -79,8 +78,7 @@ double latency_window::quantile(double q) const
 
 solve_service::solve_service(xpu::exec_policy policy, service_config config)
     : config_(std::move(config)),
-      start_(std::chrono::steady_clock::now()),
-      latency_(config_.latency_window)
+      start_(std::chrono::steady_clock::now())
 {
     BATCHLIN_ENSURE_MSG(config_.workers > 0,
                         "service needs at least one worker per shard");
@@ -110,11 +108,6 @@ solve_service::solve_service(xpu::exec_policy policy, service_config config)
         }
     }
     launch_mode_ = policy.launch_mode;
-    if (launch_mode_ != xpu::launch_mode::direct) {
-        BATCHLIN_ENSURE_MSG(config_.graph_cache_entries > 0,
-                            "graph launch modes need at least one cache "
-                            "slot per worker");
-    }
     batch_histogram_.assign(static_cast<std::size_t>(config_.max_batch) + 1,
                             0);
 
@@ -299,23 +292,24 @@ service_stats solve_service::stats() const
     service_stats s;
     s.submitted_requests = submitted_requests_;
     s.submitted_systems = submitted_systems_;
-    s.completed_requests = completed_requests_;
-    s.completed_systems = completed_systems_;
+    s.completed_requests = done_.completed_requests;
+    s.completed_systems = done_.completed_systems;
     s.rejected_requests = rejected_requests_;
     s.expired_requests =
         expired_requests_.load(std::memory_order_relaxed);
-    s.failed_requests = failed_requests_.load(std::memory_order_relaxed);
+    s.failed_requests = failed_requests_.load(std::memory_order_relaxed) +
+                        done_.failed_requests;
     s.batches_launched = batches_launched_;
-    s.launch_faults = launch_faults_;
-    s.launch_retries = launch_retries_;
-    s.degraded_launches = degraded_launches_;
-    s.recovered_requests = recovered_requests_;
-    s.launches_recorded = launches_recorded_;
-    s.replays = replays_;
-    s.rebind_only = rebind_only_;
-    s.refined_batches = refined_batches_;
-    s.refine_sweeps = refine_sweeps_;
-    s.refine_fallbacks = refine_fallbacks_;
+    s.launch_faults = done_.launch_faults;
+    s.launch_retries = done_.launch_retries;
+    s.degraded_launches = done_.degraded_launches;
+    s.recovered_requests = done_.recovered_requests;
+    s.launches_recorded = done_.launches_recorded;
+    s.replays = done_.replays;
+    s.rebind_only = done_.rebind_only;
+    s.refined_batches = done_.refined_batches;
+    s.refine_sweeps = done_.refine_sweeps;
+    s.refine_fallbacks = done_.refine_fallbacks;
     s.watchdog_evictions =
         watchdog_evictions_.load(std::memory_order_relaxed);
     s.migrations = migrations_.load(std::memory_order_relaxed);
@@ -406,7 +400,8 @@ service_stats solve_service::stats() const
     s.p99_latency_seconds = latency_.quantile(0.99);
     s.solves_per_sec =
         s.uptime_seconds > 0.0
-            ? static_cast<double>(completed_systems_) / s.uptime_seconds
+            ? static_cast<double>(done_.completed_systems) /
+                  s.uptime_seconds
             : 0.0;
     s.mean_batch_size =
         batches_launched_ > 0
@@ -634,7 +629,6 @@ bool solve_service::maybe_probe(shard_lane& lane, xpu::queue& q)
         return false;
     }
     if (send_probe(q)) {
-        lane.consecutive_exhausted.store(0, std::memory_order_relaxed);
         lane.guard.probe_succeeded();
         // Routing weight is restored; wake windowed workers (and
         // submitters parked on backpressure) into the healthy path.
@@ -700,51 +694,42 @@ int solve_service::brownout_for_depth(size_type depth_systems) const
     return 0;
 }
 
-size_type solve_service::steal_threshold_systems() const
+int solve_service::steal_victim(index_type thief_shard) const
 {
-    return config_.steal_threshold > 0
-               ? static_cast<size_type>(config_.steal_threshold)
-               : static_cast<size_type>(config_.max_batch);
-}
-
-int solve_service::steal_victim_locked(index_type thief_shard) const
-{
-    if (!config_.work_stealing || lanes_.size() < 2) {
+    if (lanes_.size() < 2) {
         return -1;
     }
     int victim = -1;
-    size_type deepest = steal_threshold_systems();
+    // Auto threshold (0): only overflow beyond what the victim's own next
+    // launch can absorb is worth moving.
+    size_type deepest = config_.steal_threshold > 0
+                            ? static_cast<size_type>(config_.steal_threshold)
+                            : static_cast<size_type>(config_.max_batch);
     for (const shard_lane& lane : lanes_) {
-        if (lane.id == thief_shard) {
-            continue;
-        }
-        if (lane.queued_systems > deepest) {
-            deepest = lane.queued_systems;
-            victim = static_cast<int>(lane.id);
-        }
-    }
-    return victim;
-}
-
-int solve_service::steal_victim_ring(index_type thief_shard) const
-{
-    if (!config_.work_stealing || lanes_.size() < 2) {
-        return -1;
-    }
-    int victim = -1;
-    size_type deepest = steal_threshold_systems();
-    for (const shard_lane& lane : lanes_) {
-        if (lane.id == thief_shard) {
-            continue;
-        }
         const size_type depth =
-            lane.ring_systems.load(std::memory_order_acquire);
-        if (depth > deepest) {
+            launch_mode_ == xpu::launch_mode::persistent
+                ? lane.ring_systems.load(std::memory_order_acquire)
+                : lane.queued_systems;
+        if (lane.id != thief_shard && depth > deepest) {
             deepest = depth;
             victim = static_cast<int>(lane.id);
         }
     }
     return victim;
+}
+
+void solve_service::book_steal(shard_lane& thief, shard_lane& victim,
+                               std::vector<detail::pending_ptr>& entries,
+                               index_type systems)
+{
+    thief.steals.fetch_add(1, std::memory_order_relaxed);
+    thief.stolen_systems.fetch_add(static_cast<std::uint64_t>(systems),
+                                   std::memory_order_relaxed);
+    for (detail::pending_ptr& entry : entries) {
+        victim.backlog_ns.fetch_sub(entry->cost_ns, std::memory_order_relaxed);
+        thief.backlog_ns.fetch_add(entry->cost_ns, std::memory_order_relaxed);
+        entry->shard = thief.id;
+    }
 }
 
 detail::pending_ptr solve_service::pop_entry_locked(shard_lane& lane,
@@ -777,7 +762,7 @@ void solve_service::worker_loop(index_type shard_id, int local_id)
         own.heartbeat.fetch_add(1, std::memory_order_relaxed);
         cv_work_.wait(lk, [&] {
             return stopping_ || !own.queue.empty() ||
-                   steal_victim_locked(shard_id) >= 0 ||
+                   steal_victim(shard_id) >= 0 ||
                    (config_.failover && !own.guard.available());
         });
         if (config_.failover && !own.guard.available()) {
@@ -789,7 +774,7 @@ void solve_service::worker_loop(index_type shard_id, int local_id)
             if (stopping_.load(std::memory_order_acquire)) {
                 lk.lock();
                 if (own.queue.empty() &&
-                    steal_victim_locked(shard_id) < 0) {
+                    steal_victim(shard_id) < 0) {
                     return;
                 }
                 continue;
@@ -806,7 +791,7 @@ void solve_service::worker_loop(index_type shard_id, int local_id)
         bool stolen = false;
         shard_lane* src = &own;
         if (own.queue.empty()) {
-            const int victim = steal_victim_locked(shard_id);
+            const int victim = steal_victim(shard_id);
             if (victim < 0) {
                 if (stopping_) {
                     return;
@@ -849,80 +834,48 @@ void solve_service::worker_loop(index_type shard_id, int local_id)
         // stops taking whole batches of unrelated requests down with it —
         // while the other shards keep coalescing.
         if (own.brk.remaining == 0) {
-            if (stolen) {
-                // Steal path: grab whatever compatible overflow the victim
-                // holds and launch immediately — stolen work is backlog by
-                // definition, there is nothing to hold a window open for.
+            // Gather everything compatible queued on `src`. The steal path
+            // launches right away — stolen work is backlog by definition,
+            // there is nothing to hold a window open for.
+            const auto window_end = batch.front()->enqueued + effective_wait;
+            for (;;) {
                 for (std::size_t i = 0;
                      i < src->queue.size() && total < config_.max_batch;) {
                     if (src->queue[i]->key == batch.front()->key &&
-                        entries_compatible(*batch.front(),
-                                           *src->queue[i])) {
+                        entries_compatible(*batch.front(), *src->queue[i])) {
                         batch.push_back(pop_entry_locked(*src, i));
                         total += batch.back()->items;
                     } else {
                         ++i;
                     }
                 }
-            } else {
-                const auto window_end =
-                    batch.front()->enqueued + effective_wait;
-                for (;;) {
-                    // Gather everything compatible already queued here.
-                    for (std::size_t i = 0;
-                         i < own.queue.size() &&
-                         total < config_.max_batch;) {
-                        if (own.queue[i]->key == batch.front()->key &&
-                            entries_compatible(*batch.front(),
-                                               *own.queue[i])) {
-                            batch.push_back(pop_entry_locked(own, i));
-                            total += batch.back()->items;
-                        } else {
-                            ++i;
-                        }
-                    }
-                    if (total >= config_.max_batch || stopping_) {
+                if (stolen || total >= config_.max_batch || stopping_) {
+                    break;
+                }
+                if (std::chrono::steady_clock::now() >= window_end) {
+                    break;
+                }
+                // Hold the window open for companions; submit() notifies.
+                if (config_.idle_flush.count() > 0 && own.queue.empty()) {
+                    // Adaptive flush: this shard's queue is empty, so with
+                    // closed-loop clients no companion can arrive until an
+                    // in-flight reply resolves. Grant stragglers only a
+                    // short grace period instead of burning the whole
+                    // window — this is what keeps low-concurrency
+                    // coalesced throughput at batch1 levels.
+                    const auto flush_at =
+                        std::chrono::steady_clock::now() + config_.idle_flush;
+                    cv_work_.wait_until(lk, std::min(flush_at, window_end));
+                    if (own.queue.empty()) {
                         break;
                     }
-                    if (std::chrono::steady_clock::now() >= window_end) {
-                        break;
-                    }
-                    // Hold the window open for companions; submit()
-                    // notifies.
-                    if (config_.idle_flush.count() > 0 &&
-                        own.queue.empty()) {
-                        // Adaptive flush: this shard's queue is empty, so
-                        // with closed-loop clients no companion can
-                        // arrive until an in-flight reply resolves. Grant
-                        // stragglers only a short grace period instead of
-                        // burning the whole window — this is what keeps
-                        // low-concurrency coalesced throughput at batch1
-                        // levels.
-                        const auto flush_at =
-                            std::chrono::steady_clock::now() +
-                            config_.idle_flush;
-                        cv_work_.wait_until(lk,
-                                            std::min(flush_at, window_end));
-                        if (own.queue.empty()) {
-                            break;
-                        }
-                    } else {
-                        cv_work_.wait_until(lk, window_end);
-                    }
+                } else {
+                    cv_work_.wait_until(lk, window_end);
                 }
             }
         }
         if (stolen) {
-            own.steals.fetch_add(1, std::memory_order_relaxed);
-            own.stolen_systems.fetch_add(static_cast<std::uint64_t>(total),
-                                         std::memory_order_relaxed);
-            for (detail::pending_ptr& entry : batch) {
-                src->backlog_ns.fetch_sub(entry->cost_ns,
-                                          std::memory_order_relaxed);
-                own.backlog_ns.fetch_add(entry->cost_ns,
-                                         std::memory_order_relaxed);
-                entry->shard = own.id;
-            }
+            book_steal(own, *src, batch, total);
         }
 
         const std::size_t popped = batch.size();
@@ -995,23 +948,13 @@ void solve_service::persistent_loop(index_type shard_id, int local_id)
         };
         pop_from(own);
         if (chunk.empty()) {
-            const int victim = steal_victim_ring(shard_id);
+            const int victim = steal_victim(shard_id);
             if (victim >= 0) {
                 shard_lane& vic =
                     lanes_[static_cast<std::size_t>(victim)];
                 pop_from(vic);
                 if (!chunk.empty()) {
-                    own.steals.fetch_add(1, std::memory_order_relaxed);
-                    own.stolen_systems.fetch_add(
-                        static_cast<std::uint64_t>(total),
-                        std::memory_order_relaxed);
-                    for (detail::pending_ptr& entry : chunk) {
-                        vic.backlog_ns.fetch_sub(
-                            entry->cost_ns, std::memory_order_relaxed);
-                        own.backlog_ns.fetch_add(
-                            entry->cost_ns, std::memory_order_relaxed);
-                        entry->shard = own.id;
-                    }
+                    book_steal(own, vic, chunk, total);
                 }
             }
         }
@@ -1080,18 +1023,6 @@ void solve_service::persistent_loop(index_type shard_id, int local_id)
     }
 }
 
-void solve_service::execute(shard_lane& lane, xpu::queue& q,
-                            detail::graph_cache& cache,
-                            std::vector<detail::pending_ptr> batch,
-                            int brownout)
-{
-    if (batch.front()->body.index() == 0) {
-        execute_typed<double>(lane, q, cache, std::move(batch), brownout);
-    } else {
-        execute_typed<float>(lane, q, cache, std::move(batch), brownout);
-    }
-}
-
 /// RAII publisher of this worker's in-flight launch age: the watchdog
 /// reads `launch_started_ns` to spot wedged lanes. One slot per lane is
 /// enough — any wedged worker pins a nonzero age, and CAS keeps
@@ -1120,35 +1051,339 @@ struct launch_age_scope {
 };
 }  // namespace
 
+namespace detail {
+
+struct batch_record {
+    std::chrono::steady_clock::time_point launch_time;
+    batch_tally tally;
+    xpu::retry_tally tries;
+    std::uint64_t expired = 0;
+    /// Shape of the live batch, captured before the request matrices
+    /// move into the replies: the modeled-busy-time inputs.
+    index_type rows = 0;
+    index_type nnz = 0;
+    /// Fused size of every launch that produced replies.
+    std::vector<index_type> launch_sizes;
+    std::vector<double> latencies;
+    /// Non-null in persistent mode: the wakes swept once the whole batch
+    /// is resolved (see execute).
+    std::vector<conc::atomic<std::uint32_t>*>* deferred_wakes = nullptr;
+};
+
+batch_tally& batch_tally::operator+=(const batch_tally& other)
+{
+    completed_requests += other.completed_requests;
+    completed_systems += other.completed_systems;
+    failed_requests += other.failed_requests;
+    launch_faults += other.launch_faults;
+    launch_retries += other.launch_retries;
+    degraded_launches += other.degraded_launches;
+    recovered_requests += other.recovered_requests;
+    launches_recorded += other.launches_recorded;
+    replays += other.replays;
+    rebind_only += other.rebind_only;
+    refined_batches += other.refined_batches;
+    refine_sweeps += other.refine_sweeps;
+    refine_fallbacks += other.refine_fallbacks;
+    return *this;
+}
+
+template <typename T>
+solver::solve_result graph_cache::solve(
+    xpu::queue& q, const std::vector<solver::assembly_part<T>>& parts,
+    std::uint64_t key, const solver::solve_options& opts,
+    xpu::submit_cost cost, batch_tally& tally)
+{
+    index_type items = 0;
+    for (const solver::assembly_part<T>& part : parts) {
+        items += part.items();
+    }
+    std::vector<slot<T>>& cached = slots<T>();
+    slot<T>* hit = nullptr;
+    for (slot<T>& s : cached) {
+        if (s.key == key && s.items == items && s.rec &&
+            s.rec->compatible(parts, opts)) {
+            hit = &s;
+            break;
+        }
+    }
+    if (hit) {
+        hit->rec->rebind(parts);
+        ++tally.rebind_only;
+    } else {
+        // Record first, then pick the victim slot: a throwing record
+        // leaves the cache unchanged. Invalidated recordings are the
+        // preferred victims, then a free slot, then the least recently
+        // used one.
+        auto rec = solver::recorded_solve<T>::record(q, parts, opts);
+        ++tally.launches_recorded;
+        for (slot<T>& s : cached) {
+            if (!s.rec || !s.rec->valid()) {
+                hit = &s;
+                break;
+            }
+        }
+        if (!hit && cached.size() < kEntries) {
+            hit = &cached.emplace_back();
+        }
+        if (!hit) {
+            hit = &*std::min_element(
+                cached.begin(), cached.end(),
+                [](const slot<T>& lhs, const slot<T>& rhs) {
+                    return lhs.last_use < rhs.last_use;
+                });
+        }
+        hit->key = key;
+        hit->items = items;
+        hit->rec = std::move(rec);
+    }
+    hit->last_use = ++tick;
+    ++tally.replays;
+    solver::solve_result result;
+    try {
+        result.wall_seconds = hit->rec->replay(q, cost);
+    } catch (const xpu::device_error&) {
+        // Never replay a poisoned graph: drop the recording so the retry
+        // re-records from scratch.
+        hit->rec->invalidate();
+        throw;
+    }
+    hit->rec->scatter(parts);
+    result.log = hit->rec->log();
+    result.plan = hit->rec->plan();
+    result.config = hit->rec->config();
+    return result;
+}
+
+}  // namespace detail
+
+namespace {
+
+template <typename T>
+detail::typed_pending<T>& typed_of(detail::pending_entry& entry)
+{
+    return std::get<detail::typed_pending<T>>(entry.body);
+}
+
+template <typename T>
+solver::assembly_part<T> part_of(detail::pending_entry& entry)
+{
+    auto& request = typed_of<T>(entry).request;
+    return {&request.a, &request.b, &request.x};
+}
+
+/// The options a batch solves with: spill zeroing skipped when the
+/// service is configured to, and the brownout caps applied. Levels 2/3
+/// trade per-request quality for drain rate (opt-in via
+/// `service_config::brownout`; they change numerics, see DESIGN.md §14):
+/// level 2 strips refinement down to one sweep, level 3 additionally
+/// shortens the GMRES basis. CG/BiCGSTAB requests only feel level 2.
+solver::solve_options batch_options(solver::solve_options opts,
+                                    bool skip_spill_zeroing, int brownout)
+{
+    if (skip_spill_zeroing) {
+        opts.zero_spill = false;
+    }
+    if (brownout >= 2 && opts.refine_sweeps > 1) {
+        opts.refine_sweeps = 1;
+    }
+    if (brownout >= 3 && opts.gmres_restart > 10) {
+        opts.gmres_restart = 10;
+    }
+    return opts;
+}
+
+/// The launch stage: one solve of `parts`. Refined batches
+/// (refine_sweeps > 0) run the mixed-precision iterative-refinement
+/// driver and bypass the graph cache — its outer loop issues a
+/// convergence-dependent number of inner launches, so there is no single
+/// recordable command graph. The graph launch modes otherwise solve
+/// through the worker's cached recording; trsv (not recordable) and the
+/// direct mode solve eagerly. Refined and eager solves share the
+/// gather -> solve -> scatter skeleton.
+template <typename T>
+solver::solve_result launch_parts(
+    xpu::queue& q, detail::graph_cache& cache, xpu::launch_mode mode,
+    std::uint64_t key, const solver::solve_options& opts,
+    const std::vector<solver::assembly_part<T>>& parts,
+    detail::batch_tally& tally)
+{
+    const bool trsv = opts.solver == solver::solver_type::trsv;
+    if (opts.refine_sweeps > 0 && !trsv) {
+        solver::refine_options ropts;
+        ropts.max_sweeps = opts.refine_sweeps;
+        solver::refined_result refined = solver::detail::solve_assembled(
+            parts, [&](const solver::batch_matrix<T>& a,
+                       const mat::batch_dense<T>& b, mat::batch_dense<T>& x) {
+                return solver::solve_refined(q, a, b, x, opts, ropts);
+            });
+        ++tally.refined_batches;
+        tally.refine_sweeps += static_cast<std::uint64_t>(refined.sweeps);
+        tally.refine_fallbacks += refined.fell_back ? 1 : 0;
+        solver::solve_result result;
+        result.log = std::move(refined.log);
+        result.stats = refined.stats;
+        result.wall_seconds = refined.wall_seconds;
+        return result;
+    }
+    if (mode != xpu::launch_mode::direct && !trsv) {
+        return cache.solve(q, parts, key, opts,
+                           mode == xpu::launch_mode::persistent
+                               ? xpu::submit_cost::resident
+                               : xpu::submit_cost::replay,
+                           tally);
+    }
+    return solver::solve_coalesced<T>(q, parts, opts);
+}
+
+/// Resolves `entry` ok with systems [offset, offset + items) of `result`
+/// (a launch of `fused` systems, done at `done`) and books it.
+template <typename T>
+void reply_solved(detail::pending_entry& entry,
+                  const solver::solve_result& result, index_type offset,
+                  index_type fused, std::chrono::steady_clock::time_point done,
+                  detail::batch_record& rec)
+{
+    detail::typed_pending<T>& typed = typed_of<T>(entry);
+    solve_reply<T> reply = detail::reply_for(typed, request_status::ok);
+    reply.log = std::move(typed.request.log);
+    solver::split_log_into(result.log, offset, entry.items, reply.log);
+    reply.fused_systems = fused;
+    reply.attempts = rec.tries.attempts;
+    reply.queue_seconds = seconds_between(entry.enqueued, rec.launch_time);
+    reply.solve_seconds = result.wall_seconds;
+    rec.latencies.push_back(seconds_between(entry.enqueued, done));
+    detail::try_reply(typed, std::move(reply), rec.deferred_wakes);
+    ++rec.tally.completed_requests;
+    rec.tally.completed_systems += static_cast<std::uint64_t>(entry.items);
+    if (rec.tries.attempts > 1) {
+        ++rec.tally.recovered_requests;
+    }
+}
+
+/// Resolves `entry` failed with `error` unless it already resolved, and
+/// books it.
+template <typename T>
+void reply_failed(detail::pending_entry& entry, const std::string& error,
+                  index_type attempts, detail::batch_record& rec)
+{
+    detail::typed_pending<T>& typed = typed_of<T>(entry);
+    solve_reply<T> reply = detail::reply_for(typed, request_status::failed);
+    reply.error = error;
+    reply.attempts = attempts;
+    if (detail::try_reply(typed, std::move(reply), rec.deferred_wakes)) {
+        ++rec.tally.failed_requests;
+    }
+}
+
+}  // namespace
+
 template <typename T>
 void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
                                   detail::graph_cache& cache,
-                                  std::vector<detail::pending_ptr> batch,
-                                  int brownout)
+                                  std::vector<detail::pending_ptr>& live,
+                                  int brownout, detail::batch_record& rec)
 {
-    const auto launch_time = std::chrono::steady_clock::now();
+    const detail::typed_pending<T>& front = typed_of<T>(*live.front());
+    rec.rows = solver::rows_of(front.request.a);
+    rec.nnz = solver::pattern_nnz(front.request.a);
+    try {
+        const std::uint64_t key = live.front()->key;
+        const solver::solve_options opts = batch_options(
+            front.request.opts, config_.skip_spill_zeroing, brownout);
+        std::vector<solver::assembly_part<T>> parts;
+        parts.reserve(live.size());
+        index_type total = 0;
+        for (detail::pending_ptr& entry : live) {
+            parts.push_back(part_of<T>(*entry));
+            total += entry->items;
+        }
+        // Every launch goes through the retry stage: device faults retry
+        // with capped exponential backoff; anything else propagates to
+        // the failure sweep below.
+        const xpu::retry_policy retry{config_.launch_retries,
+                                      config_.retry_backoff,
+                                      config_.max_retry_backoff};
+        const auto attempt =
+            [&](const std::vector<solver::assembly_part<T>>& p) {
+                return xpu::retry_device_faults(retry, rec.tries, [&] {
+                    return launch_parts(q, cache, launch_mode_, key, opts, p,
+                                        rec.tally);
+                });
+            };
+
+        if (const auto fused = attempt(parts)) {
+            rec.launch_sizes.push_back(total);
+            const auto done = std::chrono::steady_clock::now();
+            index_type offset = 0;
+            for (detail::pending_ptr& entry : live) {
+                reply_solved<T>(*entry, *fused, offset, total, done, rec);
+                offset += entry->items;
+            }
+        } else if (config_.failover && alive_lanes_excluding(lane.id) > 0 &&
+                   (evict_lane(lane, /*by_watchdog=*/false) ||
+                    !lane.guard.available())) {
+            // Retry exhaustion with failover on and somewhere to go:
+            // declare the lane lost instead of grinding through solo
+            // degradation on a device that keeps faulting. The batch's
+            // entries migrate to survivors (their tickets resolve over
+            // there), and everything still queued behind them drains
+            // right after. `evict_lane` may lose the CAS to the watchdog —
+            // the lane is equally dead either way, so the migration
+            // proceeds.
+            for (detail::pending_ptr& entry : live) {
+                lane.backlog_ns.fetch_sub(entry->cost_ns,
+                                          std::memory_order_relaxed);
+                migrate_entry(lane, std::move(entry));
+            }
+            live.clear();
+            failover_drain(lane);
+        } else {
+            // The fused launch keeps faulting: degrade to per-request
+            // solo solves so only the requests that genuinely cannot
+            // complete fail — the rest of the batch still resolves ok.
+            // Each solo solve continues the fused attempt count.
+            rec.tally.degraded_launches = 1;
+            const index_type fused_attempts = rec.tries.attempts;
+            for (detail::pending_ptr& entry : live) {
+                rec.tries.attempts = fused_attempts;
+                if (const auto solo = attempt({part_of<T>(*entry)})) {
+                    rec.launch_sizes.push_back(entry->items);
+                    reply_solved<T>(*entry, *solo, 0, entry->items,
+                                    std::chrono::steady_clock::now(), rec);
+                } else {
+                    reply_failed<T>(*entry,
+                                    "device fault persisted through " +
+                                        std::to_string(rec.tries.attempts) +
+                                        " solve attempts: " +
+                                        rec.tries.last_fault,
+                                    rec.tries.attempts, rec);
+                }
+            }
+        }
+    } catch (const std::exception& ex) {
+        // Last-resort failure sweep: resolves every still-pending ticket
+        // with `failed`, so a worker never exits leaving unresolved
+        // tickets behind, and never double-sets an already-resolved one.
+        for (detail::pending_ptr& entry : live) {
+            reply_failed<T>(*entry, ex.what(), 1, rec);
+        }
+    } catch (...) {
+        for (detail::pending_ptr& entry : live) {
+            reply_failed<T>(*entry, "unknown error in batch execution", 1,
+                            rec);
+        }
+    }
+}
+
+void solve_service::execute(shard_lane& lane, xpu::queue& q,
+                            detail::graph_cache& cache,
+                            std::vector<detail::pending_ptr> batch,
+                            int brownout)
+{
+    detail::batch_record rec;
+    rec.launch_time = std::chrono::steady_clock::now();
     launch_age_scope age(lane.launch_started_ns, steady_now_ns());
-    std::vector<detail::pending_ptr> live;
-    std::vector<detail::pending_ptr> expired;
-    for (detail::pending_ptr& entry : batch) {
-        (entry->deadline <= launch_time ? expired : live)
-            .push_back(std::move(entry));
-    }
-    for (detail::pending_ptr& entry : expired) {
-        reply_without_solving(*entry, request_status::expired);
-    }
-
-    // Shape of the live batch, captured before the request matrices move
-    // into the replies: the inputs of the modeled-busy-time bookkeeping.
-    index_type batch_rows = 0;
-    index_type batch_nnz = 0;
-    if (!live.empty()) {
-        const auto& front =
-            std::get<detail::typed_pending<T>>(live.front()->body);
-        batch_rows = solver::rows_of(front.request.a);
-        batch_nnz = solver::pattern_nnz(front.request.a);
-    }
-
     // Wake timing: resolution only ever wakes slots a waiter registered
     // on (see reply_slot::resolve). The persistent path additionally
     // defers those wakes to one sweep after the batch is fully resolved —
@@ -1158,405 +1393,41 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
     // refilling the mutex-guarded queue while the worker finishes its
     // bookkeeping, which is what keeps the next window full.
     std::vector<conc::atomic<std::uint32_t>*> wake_list;
-    auto* const deferred_wakes =
-        launch_mode_ == xpu::launch_mode::persistent ? &wake_list : nullptr;
-    std::uint64_t ok_requests = 0;
-    std::uint64_t ok_systems = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t faults = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t recovered = 0;
-    std::uint64_t recorded = 0;
-    std::uint64_t replayed = 0;
-    std::uint64_t rebound = 0;
-    std::uint64_t refined_launches = 0;
-    std::uint64_t refine_sweeps_total = 0;
-    std::uint64_t refine_fallback_count = 0;
-    bool degraded = false;
-    index_type total = 0;
-    std::vector<index_type> launch_sizes;
-    std::vector<double> latencies;
+    if (launch_mode_ == xpu::launch_mode::persistent) {
+        rec.deferred_wakes = &wake_list;
+    }
 
-    // Last-resort failure sweep: resolves every still-pending ticket with
-    // `failed`. Runs when an exception escapes the solve/scatter path, so
-    // a worker never exits leaving unresolved tickets behind, and
-    // never double-sets an already-resolved one.
-    auto fail_remaining = [&](const std::string& what) {
-        for (detail::pending_ptr& entry : live) {
-            auto& typed = std::get<detail::typed_pending<T>>(entry->body);
-            solve_reply<T> reply;
-            reply.status = request_status::failed;
-            reply.error = what;
-            reply.a = std::move(typed.request.a);
-            reply.b = std::move(typed.request.b);
-            reply.x = std::move(typed.request.x);
-            if (try_reply(typed, std::move(reply), deferred_wakes)) {
-                ++failed;
-            }
+    // The routed cost the batch retires from the lane backlog: expired
+    // entries, and live ones unless failover migrates them.
+    std::int64_t retired = 0;
+    std::vector<detail::pending_ptr> live;
+    for (detail::pending_ptr& entry : batch) {
+        if (entry->deadline <= rec.launch_time) {
+            retired += entry->cost_ns;
+            ++rec.expired;
+            reply_without_solving(*entry, request_status::expired);
+        } else {
+            live.push_back(std::move(entry));
         }
-    };
-
+    }
     if (!live.empty()) {
-        try {
-            std::vector<solver::assembly_part<T>> parts;
-            parts.reserve(live.size());
-            for (detail::pending_ptr& entry : live) {
-                auto& typed =
-                    std::get<detail::typed_pending<T>>(entry->body);
-                parts.push_back({&typed.request.a, &typed.request.b,
-                                 &typed.request.x});
-                total += entry->items;
-            }
-            solver::solve_options opts =
-                std::get<detail::typed_pending<T>>(live.front()->body)
-                    .request.opts;
-            if (config_.skip_spill_zeroing) {
-                opts.zero_spill = false;
-            }
-            // Brownout levels 2/3 trade per-request quality for drain
-            // rate (opt-in via `service_config::brownout`; they change
-            // numerics, see DESIGN.md §14): level 2 strips refinement
-            // down to one sweep, level 3 additionally shortens the GMRES
-            // basis. CG/BiCGSTAB requests only feel level 2.
-            if (brownout >= 2 && opts.refine_sweeps > 1) {
-                opts.refine_sweeps = 1;
-            }
-            if (brownout >= 3 && opts.gmres_restart > 10) {
-                opts.gmres_restart = 10;
-            }
-
-            // Graph launch modes solve through a cached recording:
-            // rebind + replay when this worker already recorded the
-            // (pattern, options, size) shape, record-then-replay on a
-            // miss. trsv falls back to the eager path (recording rejects
-            // it). One replay is exactly one launch-counter submission,
-            // so fault keying and attempt counts match the eager path.
-            // Refined batches (refine_sweeps > 0) run the mixed-precision
-            // iterative-refinement driver instead of the plain fused
-            // solve. They bypass the graph cache: the outer loop issues a
-            // convergence-dependent number of inner launches, so there is
-            // no single recordable command graph to replay.
-            const bool refine =
-                opts.refine_sweeps > 0 &&
-                opts.solver != solver::solver_type::trsv;
-            const bool graph_path =
-                launch_mode_ != xpu::launch_mode::direct &&
-                opts.solver != solver::solver_type::trsv && !refine;
-            const xpu::submit_cost graph_cost =
-                launch_mode_ == xpu::launch_mode::persistent
-                    ? xpu::submit_cost::resident
-                    : xpu::submit_cost::replay;
-            const std::uint64_t batch_key = live.front()->key;
-            auto solve_with_graph =
-                [&](const std::vector<solver::assembly_part<T>>& p,
-                    index_type p_items) -> solver::solve_result {
-                auto& slots = cache.template slots<T>();
-                detail::graph_cache::slot<T>* hit = nullptr;
-                for (auto& s : slots) {
-                    if (s.key == batch_key && s.items == p_items &&
-                        s.rec && s.rec->compatible(p, opts)) {
-                        hit = &s;
-                        break;
-                    }
-                }
-                if (hit) {
-                    hit->rec->rebind(p);
-                    ++rebound;
-                } else {
-                    // Record first, then pick the victim slot: a throwing
-                    // record leaves the cache unchanged. Invalidated
-                    // recordings are the preferred victims.
-                    auto rec =
-                        solver::recorded_solve<T>::record(q, p, opts);
-                    ++recorded;
-                    detail::graph_cache::slot<T>* victim = nullptr;
-                    for (auto& s : slots) {
-                        if (!s.rec || !s.rec->valid()) {
-                            victim = &s;
-                            break;
-                        }
-                    }
-                    if (!victim &&
-                        slots.size() < config_.graph_cache_entries) {
-                        slots.emplace_back();
-                        victim = &slots.back();
-                    }
-                    if (!victim) {
-                        victim = &*std::min_element(
-                            slots.begin(), slots.end(),
-                            [](const auto& lhs, const auto& rhs) {
-                                return lhs.last_use < rhs.last_use;
-                            });
-                    }
-                    victim->key = batch_key;
-                    victim->items = p_items;
-                    victim->rec = std::move(rec);
-                    hit = victim;
-                }
-                hit->last_use = ++cache.tick;
-                ++replayed;
-                double wall = 0.0;
-                try {
-                    wall = hit->rec->replay(q, graph_cost);
-                } catch (const xpu::device_error&) {
-                    // Never replay a poisoned graph: drop the recording
-                    // so the retry re-records from scratch.
-                    hit->rec->invalidate();
-                    throw;
-                }
-                hit->rec->scatter(p);
-                solver::solve_result result;
-                result.log = hit->rec->log();
-                result.plan = hit->rec->plan();
-                result.config = hit->rec->config();
-                result.wall_seconds = wall;
-                return result;
-            };
-
-            // Solves `p`, retrying device faults with capped exponential
-            // backoff. Injected faults are keyed by the worker queue's
-            // launch counter, so every retry is a fresh launch. Other
-            // exceptions propagate to the failure sweep below.
-            std::string last_fault;
-            auto attempt_with_retries =
-                [&](const std::vector<solver::assembly_part<T>>& p,
-                    index_type p_items, index_type& attempts)
-                -> std::optional<solver::solve_result> {
-                auto backoff = config_.retry_backoff;
-                for (index_type retry = 0;; ++retry) {
-                    ++attempts;
-                    try {
-                        if (refine) {
-                            solver::refine_options ropts;
-                            ropts.max_sweeps = opts.refine_sweeps;
-                            solver::refined_result rr =
-                                solver::solve_refined_coalesced<T>(
-                                    q, p, opts, ropts);
-                            ++refined_launches;
-                            refine_sweeps_total +=
-                                static_cast<std::uint64_t>(rr.sweeps);
-                            if (rr.fell_back) {
-                                ++refine_fallback_count;
-                            }
-                            solver::solve_result result;
-                            result.log = std::move(rr.log);
-                            result.stats = rr.stats;
-                            result.wall_seconds = rr.wall_seconds;
-                            return result;
-                        }
-                        return graph_path
-                                   ? solve_with_graph(p, p_items)
-                                   : solver::solve_coalesced<T>(q, p,
-                                                                opts);
-                    } catch (const xpu::device_error& ex) {
-                        ++faults;
-                        last_fault = ex.what();
-                        if (retry >= config_.launch_retries) {
-                            return std::nullopt;
-                        }
-                        ++retries;
-                        if (backoff.count() > 0) {
-                            std::this_thread::sleep_for(backoff);
-                            backoff = std::min(
-                                backoff * 2, config_.max_retry_backoff);
-                        }
-                    }
-                }
-            };
-
-            index_type fused_attempts = 0;
-            std::optional<solver::solve_result> combined =
-                attempt_with_retries(parts, total, fused_attempts);
-            if (combined) {
-                if (config_.failover) {
-                    lane.consecutive_exhausted.store(
-                        0, std::memory_order_relaxed);
-                }
-                const auto done = std::chrono::steady_clock::now();
-                launch_sizes.push_back(total);
-                index_type offset = 0;
-                for (detail::pending_ptr& entry : live) {
-                    auto& typed =
-                        std::get<detail::typed_pending<T>>(entry->body);
-                    solve_reply<T> reply;
-                    reply.status = request_status::ok;
-                    reply.a = std::move(typed.request.a);
-                    reply.b = std::move(typed.request.b);
-                    reply.x = std::move(typed.request.x);
-                    reply.log = std::move(typed.request.log);
-                    solver::split_log_into(combined->log, offset,
-                                           entry->items, reply.log);
-                    reply.fused_systems = total;
-                    reply.attempts = fused_attempts;
-                    reply.queue_seconds =
-                        seconds_between(entry->enqueued, launch_time);
-                    reply.solve_seconds = combined->wall_seconds;
-                    offset += entry->items;
-                    latencies.push_back(
-                        seconds_between(entry->enqueued, done));
-                    try_reply(typed, std::move(reply), deferred_wakes);
-                    ++ok_requests;
-                    ok_systems += static_cast<std::uint64_t>(entry->items);
-                    if (fused_attempts > 1) {
-                        ++recovered;
-                    }
-                }
-            } else if (config_.failover &&
-                       alive_lanes_excluding(lane.id) > 0 &&
-                       lane.consecutive_exhausted.fetch_add(
-                           1, std::memory_order_acq_rel) +
-                               1 >=
-                           static_cast<std::uint32_t>(
-                               config_.evict_after_exhausted) &&
-                       (evict_lane(lane, /*by_watchdog=*/false) ||
-                        !lane.guard.available())) {
-                // Retry exhaustion with failover on and somewhere to go:
-                // declare the lane lost instead of grinding through solo
-                // degradation on a device that keeps faulting. The
-                // batch's entries migrate to survivors (their tickets
-                // resolve over there), and everything still queued
-                // behind them drains right after. `evict_lane` may lose
-                // the CAS to the watchdog — the lane is equally dead
-                // either way, so the migration proceeds.
-                for (detail::pending_ptr& entry : live) {
-                    lane.backlog_ns.fetch_sub(entry->cost_ns,
-                                              std::memory_order_relaxed);
-                    migrate_entry(lane, std::move(entry));
-                }
-                live.clear();
-                failover_drain(lane);
-            } else {
-                // The fused launch keeps faulting: degrade to per-request
-                // solo solves so only the requests that genuinely cannot
-                // complete fail — the rest of the batch still resolves ok.
-                degraded = true;
-                for (detail::pending_ptr& entry : live) {
-                    auto& typed =
-                        std::get<detail::typed_pending<T>>(entry->body);
-                    std::vector<solver::assembly_part<T>> solo;
-                    solo.push_back({&typed.request.a, &typed.request.b,
-                                    &typed.request.x});
-                    index_type attempts = fused_attempts;
-                    std::optional<solver::solve_result> result =
-                        attempt_with_retries(solo, entry->items, attempts);
-                    const auto done = std::chrono::steady_clock::now();
-                    solve_reply<T> reply;
-                    reply.attempts = attempts;
-                    if (result) {
-                        reply.status = request_status::ok;
-                        reply.log = result->log;
-                        reply.fused_systems = entry->items;
-                        reply.queue_seconds =
-                            seconds_between(entry->enqueued, launch_time);
-                        reply.solve_seconds = result->wall_seconds;
-                        launch_sizes.push_back(entry->items);
-                        latencies.push_back(
-                            seconds_between(entry->enqueued, done));
-                    } else {
-                        reply.status = request_status::failed;
-                        reply.error =
-                            "device fault persisted through " +
-                            std::to_string(attempts) +
-                            " solve attempts: " + last_fault;
-                    }
-                    reply.a = std::move(typed.request.a);
-                    reply.b = std::move(typed.request.b);
-                    reply.x = std::move(typed.request.x);
-                    const bool ok = reply.status == request_status::ok;
-                    try_reply(typed, std::move(reply), deferred_wakes);
-                    if (ok) {
-                        ++ok_requests;
-                        ok_systems +=
-                            static_cast<std::uint64_t>(entry->items);
-                        ++recovered;
-                    } else {
-                        ++failed;
-                    }
-                }
-            }
-        } catch (const std::exception& ex) {
-            fail_remaining(ex.what());
-        } catch (...) {
-            fail_remaining("unknown error in batch execution");
+        if (live.front()->body.index() == 0) {
+            execute_typed<double>(lane, q, cache, live, brownout, rec);
+        } else {
+            execute_typed<float>(lane, q, cache, live, brownout, rec);
         }
     }
-
-    // Retire the batch's routed cost from the lane backlog (atomic, so
-    // the router's lock-free reads stay consistent without the mutex).
-    {
-        std::int64_t retired = 0;
-        for (const detail::pending_ptr& entry : expired) {
-            retired += entry->cost_ns;
-        }
-        for (const detail::pending_ptr& entry : live) {
-            retired += entry->cost_ns;
-        }
-        if (retired != 0) {
-            lane.backlog_ns.fetch_sub(retired, std::memory_order_relaxed);
-        }
+    for (const detail::pending_ptr& entry : live) {
+        retired += entry->cost_ns;
     }
-
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        expired_requests_.fetch_add(
-            static_cast<std::uint64_t>(expired.size()),
-            std::memory_order_relaxed);
-        completed_requests_ += ok_requests;
-        completed_systems_ += ok_systems;
-        failed_requests_.fetch_add(failed, std::memory_order_relaxed);
-        launch_faults_ += faults;
-        launch_retries_ += retries;
-        recovered_requests_ += recovered;
-        launches_recorded_ += recorded;
-        replays_ += replayed;
-        rebind_only_ += rebound;
-        refined_batches_ += refined_launches;
-        refine_sweeps_ += refine_sweeps_total;
-        refine_fallbacks_ += refine_fallback_count;
-        if (degraded) {
-            ++degraded_launches_;
-        }
-        // Brownout telemetry (all writers hold mu_ here, so plain
-        // load/store is race-free; the fields stay atomic for the
-        // lock-free readers in stats()).
-        brownout_level_.store(static_cast<std::uint32_t>(brownout),
-                              std::memory_order_relaxed);
-        if (brownout > 0) {
-            brownout_batches_.fetch_add(1, std::memory_order_relaxed);
-            if (brownout_max_.load(std::memory_order_relaxed) <
-                static_cast<std::uint32_t>(brownout)) {
-                brownout_max_.store(static_cast<std::uint32_t>(brownout),
-                                    std::memory_order_relaxed);
-            }
-        }
-        lane.completed_systems += ok_systems;
-        lane.launch_faults += faults;
-        for (const index_type size : launch_sizes) {
-            ++batches_launched_;
-            batched_systems_sum_ += static_cast<std::uint64_t>(size);
-            const std::size_t bucket =
-                size <= config_.max_batch ? static_cast<std::size_t>(size) : 0;
-            ++batch_histogram_[bucket];
-            ++lane.batches_launched;
-            // Modeled device-busy time of the launch that actually ran
-            // (fused size, this lane's device): the scaling signal of the
-            // shard sweep on a host whose single core serializes shards.
-            lane.modeled_busy_ns +=
-                static_cast<std::uint64_t>(shard::router::estimate_cost_ns(
-                    lane.spec, size, batch_rows, batch_nnz));
-        }
-        for (const double s : latencies) {
-            latency_.record(s);
-        }
-        if (!live.empty()) {
-            // Per-shard breaker bookkeeping: one observation per
-            // execution, faulted if any attempt faulted. A tripped shard
-            // cools down alone; its neighbors keep coalescing.
-            lane.brk.observe(faults > 0, config_.breaker_fault_ratio,
-                             config_.breaker_window,
-                             config_.breaker_cooldown);
-        }
+    if (retired != 0) {
+        // Atomic, so the router's lock-free reads stay consistent
+        // without the mutex.
+        lane.backlog_ns.fetch_sub(retired, std::memory_order_relaxed);
     }
+    rec.tally.launch_faults = static_cast<std::uint64_t>(rec.tries.faults);
+    rec.tally.launch_retries = static_cast<std::uint64_t>(rec.tries.retries);
+    book_batch(lane, rec, brownout, !live.empty());
 
     // Deferred wake sweep: every entry of the batch is resolved by now,
     // so a client blocked on its first fused request wakes once and
@@ -1568,11 +1439,53 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
     }
 }
 
-template void solve_service::execute_typed<double>(
-    shard_lane&, xpu::queue&, detail::graph_cache&,
-    std::vector<detail::pending_ptr>, int);
-template void solve_service::execute_typed<float>(
-    shard_lane&, xpu::queue&, detail::graph_cache&,
-    std::vector<detail::pending_ptr>, int);
+void solve_service::book_batch(shard_lane& lane,
+                               const detail::batch_record& rec, int brownout,
+                               bool observed)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    expired_requests_.fetch_add(rec.expired, std::memory_order_relaxed);
+    done_ += rec.tally;
+    // Brownout telemetry (all writers hold mu_ here, so plain load/store
+    // is race-free; the fields stay atomic for the lock-free readers in
+    // stats()).
+    brownout_level_.store(static_cast<std::uint32_t>(brownout),
+                          std::memory_order_relaxed);
+    if (brownout > 0) {
+        brownout_batches_.fetch_add(1, std::memory_order_relaxed);
+        if (brownout_max_.load(std::memory_order_relaxed) <
+            static_cast<std::uint32_t>(brownout)) {
+            brownout_max_.store(static_cast<std::uint32_t>(brownout),
+                                std::memory_order_relaxed);
+        }
+    }
+    lane.completed_systems += rec.tally.completed_systems;
+    lane.launch_faults += rec.tally.launch_faults;
+    for (const index_type size : rec.launch_sizes) {
+        ++batches_launched_;
+        batched_systems_sum_ += static_cast<std::uint64_t>(size);
+        const std::size_t bucket =
+            size <= config_.max_batch ? static_cast<std::size_t>(size) : 0;
+        ++batch_histogram_[bucket];
+        ++lane.batches_launched;
+        // Modeled device-busy time of the launch that actually ran
+        // (fused size, this lane's device): the scaling signal of the
+        // shard sweep on a host whose single core serializes shards.
+        lane.modeled_busy_ns +=
+            static_cast<std::uint64_t>(shard::router::estimate_cost_ns(
+                lane.spec, size, rec.rows, rec.nnz));
+    }
+    for (const double s : rec.latencies) {
+        latency_.record(s);
+    }
+    if (observed) {
+        // Per-shard breaker bookkeeping: one observation per execution,
+        // faulted if any attempt faulted. A tripped shard cools down
+        // alone; its neighbors keep coalescing.
+        lane.brk.observe(rec.tally.launch_faults > 0,
+                         config_.breaker_fault_ratio, config_.breaker_window,
+                         config_.breaker_cooldown);
+    }
+}
 
 }  // namespace batchlin::serve

@@ -161,9 +161,7 @@ struct service_config {
     /// as emulated wall time; overrides `shards`.
     std::vector<std::string> shard_devices;
     /// Cross-shard work stealing: an idle shard's worker pulls from the
-    /// deepest run-queue holding more than `steal_threshold` systems.
-    bool work_stealing = true;
-    /// Victim depth (systems) below which nothing is stolen; 0 = auto
+    /// deepest run-queue holding more than this many systems; 0 = auto
     /// (`max_batch`: only overflow beyond what the victim's own next
     /// launch can absorb is worth moving, and sub-batch queues keep
     /// fusing locally).
@@ -184,11 +182,6 @@ struct service_config {
     /// a lone request burns the whole window for companions that cannot
     /// exist. Zero disables (always wait out `max_wait`).
     std::chrono::microseconds idle_flush{25};
-    /// Cached graph recordings per worker and precision in the
-    /// `graph_replay` / `persistent` launch modes (LRU-evicted). Each
-    /// distinct (sparsity pattern, options, fused size) shape occupies
-    /// one slot.
-    std::size_t graph_cache_entries = 8;
     /// Admission bound, counted in systems (a batched request counts its
     /// batch size).
     size_type max_queue_systems = 4096;
@@ -198,8 +191,6 @@ struct service_config {
     /// equivalence tests pin down that replies are bit-identical either
     /// way).
     bool skip_spill_zeroing = true;
-    /// Sliding-window size of the latency percentile estimator.
-    std::size_t latency_window = 8192;
     /// Additional solve attempts after a `xpu::device_error` launch
     /// failure before the batch degrades to per-request solo solves.
     /// Injected faults are keyed by the worker queue's launch counter, so
@@ -228,9 +219,6 @@ struct service_config {
     /// the BATCHLIN_FAILOVER environment override. Only meaningful with
     /// at least two shards (a lone lane has nowhere to fail over to).
     bool failover = false;
-    /// Consecutive fused executions that exhausted their launch retries
-    /// with a device error before a worker declares the shard lost.
-    std::uint32_t evict_after_exhausted = 1;
     /// Watchdog scan period; zero disables the watchdog thread (worker-
     /// side eviction still runs).
     std::chrono::microseconds watchdog_interval{500};
@@ -376,12 +364,39 @@ struct pending_entry {
 /// cache-resident.
 using pending_ptr = std::unique_ptr<pending_entry>;
 
+/// What one executed batch adds to the service totals. A worker fills
+/// one per batch and adds it under the service mutex in a single step.
+struct batch_tally {
+    std::uint64_t completed_requests = 0;
+    std::uint64_t completed_systems = 0;
+    std::uint64_t failed_requests = 0;
+    std::uint64_t launch_faults = 0;
+    std::uint64_t launch_retries = 0;
+    std::uint64_t degraded_launches = 0;
+    std::uint64_t recovered_requests = 0;
+    std::uint64_t launches_recorded = 0;
+    std::uint64_t replays = 0;
+    std::uint64_t rebind_only = 0;
+    std::uint64_t refined_batches = 0;
+    std::uint64_t refine_sweeps = 0;
+    std::uint64_t refine_fallbacks = 0;
+
+    batch_tally& operator+=(const batch_tally& other);
+};
+
+/// What one executing batch accumulates before it is booked (service.cpp).
+struct batch_record;
+
 /// Per-worker cache of graph recordings (`graph_replay` / `persistent`
 /// launch modes). Keyed by the coalescing hash plus the fused batch size;
 /// the exact `recorded_solve::compatible` check backs the hash, so a
 /// collision re-records instead of corrupting. Owned by exactly one
 /// worker thread — no locking.
 struct graph_cache {
+    /// Recordings kept per precision (LRU-evicted). Each distinct
+    /// (sparsity pattern, options, fused size) shape occupies one slot.
+    static constexpr std::size_t kEntries = 8;
+
     template <typename T>
     struct slot {
         std::uint64_t key = 0;
@@ -400,11 +415,65 @@ struct graph_cache {
         }
     }
 
+    /// Solves `parts` (coalescing key `key`) through a cached recording:
+    /// rebind + replay on a hit, record then replay on a miss. A replay
+    /// that throws `xpu::device_error` invalidates its recording, so a
+    /// retry re-records instead of replaying a poisoned graph. One replay
+    /// is exactly one launch, so fault keying and attempt counts match
+    /// the eager path. Books recordings, rebinds and replays in `tally`.
+    template <typename T>
+    solver::solve_result solve(
+        xpu::queue& q, const std::vector<solver::assembly_part<T>>& parts,
+        std::uint64_t key, const solver::solve_options& opts,
+        xpu::submit_cost cost, batch_tally& tally);
+
     std::vector<slot<double>> d;
     std::vector<slot<float>> f;
     /// LRU clock.
     std::uint64_t tick = 0;
 };
+
+/// The reply every path starts from: `status` set and the request's
+/// operands handed back.
+template <typename T>
+solve_reply<T> reply_for(typed_pending<T>& typed, request_status status)
+{
+    solve_reply<T> reply;
+    reply.status = status;
+    reply.a = std::move(typed.request.a);
+    reply.b = std::move(typed.request.b);
+    reply.x = std::move(typed.request.x);
+    return reply;
+}
+
+/// Resolves a slot exactly once: a second set (e.g. the failure sweep
+/// running after some replies already resolved) is a no-op. Returns
+/// whether this call resolved the ticket. If a waiter had registered on
+/// the slot, its futex word is either woken here (`deferred_wakes ==
+/// nullptr`) or appended for the caller to wake after the whole batch is
+/// resolved (see solve_service::execute) — so in persistent mode a client
+/// waiting on the first of several fused requests wakes once with all of
+/// them ready. Resolution is single-threaded per entry (the owning
+/// worker, or stop() after the join), so the unsynchronized `state`
+/// pre-check cannot race another resolver.
+template <typename T>
+bool try_reply(
+    typed_pending<T>& typed, solve_reply<T> reply,
+    std::vector<conc::atomic<std::uint32_t>*>* deferred_wakes = nullptr)
+{
+    if (typed.slot->state.load(std::memory_order_relaxed) == slot_ready) {
+        return false;  // already resolved
+    }
+    typed.slot->store_reply(std::move(reply));
+    if (auto* word = typed.slot->resolve()) {
+        if (deferred_wakes != nullptr) {
+            deferred_wakes->push_back(word);
+        } else {
+            detail::futex_wake_all(*word);
+        }
+    }
+    return true;
+}
 
 }  // namespace detail
 
@@ -652,18 +721,11 @@ private:
                                       request_status status,
                                       const char* error = nullptr)
     {
-        solve_reply<T> reply;
-        reply.status = status;
+        solve_reply<T> reply = detail::reply_for(typed, status);
         if (error != nullptr) {
             reply.error = error;
         }
-        reply.a = std::move(typed.request.a);
-        reply.b = std::move(typed.request.b);
-        reply.x = std::move(typed.request.x);
-        typed.slot->store_reply(std::move(reply));
-        if (auto* word = typed.slot->resolve()) {
-            detail::futex_wake_all(*word);
-        }
+        detail::try_reply(typed, std::move(reply));
     }
 
     static void reply_without_solving(detail::pending_entry& entry,
@@ -689,37 +751,6 @@ private:
                                 : config_.shed_watermark;
         return static_cast<size_type>(
             frac * static_cast<double>(config_.max_queue_systems));
-    }
-
-    /// Resolves a slot exactly once: a second set (e.g. the failure
-    /// sweep running after some replies already resolved) is a no-op.
-    /// Returns whether this call resolved the ticket. If a waiter had
-    /// registered on the slot, its futex word is either woken here
-    /// (`deferred_wakes == nullptr`) or appended for the caller to wake
-    /// after the whole batch is resolved (see execute_typed) — so in
-    /// persistent mode a client waiting on the first of several fused
-    /// requests wakes once with all of them ready. Resolution is
-    /// single-threaded per entry (the owning worker, or stop() after the
-    /// join), so the unsynchronized `state` pre-check cannot race
-    /// another resolver.
-    template <typename T>
-    static bool try_reply(
-        detail::typed_pending<T>& typed, solve_reply<T> reply,
-        std::vector<conc::atomic<std::uint32_t>*>* deferred_wakes = nullptr)
-    {
-        if (typed.slot->state.load(std::memory_order_relaxed) ==
-            detail::slot_ready) {
-            return false;  // already resolved
-        }
-        typed.slot->store_reply(std::move(reply));
-        if (auto* word = typed.slot->resolve()) {
-            if (deferred_wakes != nullptr) {
-                deferred_wakes->push_back(word);
-            } else {
-                detail::futex_wake_all(*word);
-            }
-        }
-        return true;
     }
 
     using shard_lane = shard::lane<detail::pending_ptr>;
@@ -866,9 +897,6 @@ private:
     /// ladder is disabled).
     int brownout_for_depth(size_type depth_systems) const;
 
-    /// Victim depth below which nothing is stolen (config, 0 = max_batch).
-    size_type steal_threshold_systems() const;
-
     void worker_loop(index_type shard_id, int local_id);
 
     /// Resident solver loop of `launch_mode::persistent`: polls its
@@ -882,23 +910,37 @@ private:
     detail::pending_ptr pop_entry_locked(shard_lane& lane,
                                          std::size_t index);
 
-    /// Deepest run-queue worth stealing from (windowed modes, caller
-    /// holds mu_); -1 when no victim clears the threshold.
-    int steal_victim_locked(index_type thief_shard) const;
+    /// Deepest run-queue (windowed modes, caller holds mu_) or ring
+    /// (persistent mode, lock-free) holding more than the steal
+    /// threshold, other than the thief's own; -1 when none does.
+    int steal_victim(index_type thief_shard) const;
 
-    /// Deepest ring worth stealing from (persistent mode, lock-free);
-    /// -1 when no victim clears the threshold.
-    int steal_victim_ring(index_type thief_shard) const;
+    /// Moves the routed cost of `entries` (`systems` systems) stolen from
+    /// `victim` onto `thief` and counts the steal.
+    static void book_steal(shard_lane& thief, shard_lane& victim,
+                           std::vector<detail::pending_ptr>& entries,
+                           index_type systems);
 
+    /// Runs one popped batch and resolves every entry of it: expires the
+    /// entries past their deadline, solves the rest (`execute_typed`),
+    /// retires the batch's backlog and books it.
     void execute(shard_lane& lane, xpu::queue& q,
                  detail::graph_cache& cache,
                  std::vector<detail::pending_ptr> batch, int brownout);
 
+    /// Solves the live entries of one batch: the fused launch through the
+    /// retry stage, then failover migration or degradation to solo
+    /// solves when it keeps faulting. Resolves or migrates every entry.
     template <typename T>
     void execute_typed(shard_lane& lane, xpu::queue& q,
                        detail::graph_cache& cache,
-                       std::vector<detail::pending_ptr> batch,
-                       int brownout);
+                       std::vector<detail::pending_ptr>& live, int brownout,
+                       detail::batch_record& rec);
+
+    /// Adds one executed batch to the service and lane totals under mu_,
+    /// with one circuit-breaker observation when `observed`.
+    void book_batch(shard_lane& lane, const detail::batch_record& rec,
+                    int brownout, bool observed);
 
     service_config config_;
     /// Snapshot of the policy's launch mode (possibly overridden by the
@@ -933,31 +975,20 @@ private:
     conc::atomic<std::uint64_t> submitted_requests_{0};
     conc::atomic<std::uint64_t> submitted_systems_{0};
     conc::atomic<std::uint64_t> rejected_requests_{0};
-    std::uint64_t completed_requests_ = 0;
-    std::uint64_t completed_systems_ = 0;
+    /// Totals of every executed batch (guarded by mu_; see book_batch).
+    detail::batch_tally done_;
     /// Atomic: the lock-free admission paths (negative deadline, blocked
     /// submit timing out, failover migration) expire requests without
     /// holding mu_.
     conc::atomic<std::uint64_t> expired_requests_{0};
     /// Atomic for the same reason: failover migration fails entries with
-    /// no surviving target from whatever thread drained them.
+    /// no surviving target from whatever thread drained them. Failures of
+    /// executed batches are in `done_`.
     conc::atomic<std::uint64_t> failed_requests_{0};
     std::uint64_t batches_launched_ = 0;
     std::uint64_t batched_systems_sum_ = 0;
     std::vector<std::uint64_t> batch_histogram_;
     latency_window latency_;
-
-    // Graph-launch counters (guarded by mu_; updated in the workers'
-    // post-batch bookkeeping).
-    std::uint64_t launches_recorded_ = 0;
-    std::uint64_t replays_ = 0;
-    std::uint64_t rebind_only_ = 0;
-
-    // Mixed-precision refinement counters (guarded by mu_; updated in the
-    // workers' post-batch bookkeeping).
-    std::uint64_t refined_batches_ = 0;
-    std::uint64_t refine_sweeps_ = 0;
-    std::uint64_t refine_fallbacks_ = 0;
 
     /// Persistent-mode lock-free budget/progress counters (the rings
     /// themselves live in the lanes). `ring_pending_` counts entries
@@ -975,14 +1006,6 @@ private:
     /// when someone is parked, so the loaded steady state pays no wake
     /// syscalls at all. Protocol and rationale: serve/doorbell.hpp.
     doorbell bell_;
-
-    // Resilience counters (guarded by mu_). Circuit-breaker state is per
-    // lane (`shard::breaker`) — a faulting shard trips and cools down
-    // alone.
-    std::uint64_t launch_faults_ = 0;
-    std::uint64_t launch_retries_ = 0;
-    std::uint64_t degraded_launches_ = 0;
-    std::uint64_t recovered_requests_ = 0;
 
     /// Failover / degradation counters (PR 10; atomic — bumped from
     /// worker loops, the watchdog, and lock-free admission). Eviction

@@ -86,6 +86,25 @@ batch_matrix<T> combined_pattern(const batch_matrix<T>& leader,
         leader);
 }
 
+/// Copies the listed equal-sized item blocks of the batch-major `src`
+/// into `dst`, in list order; `dst` holds exactly those blocks.
+template <typename V>
+void copy_items(const std::vector<V>& src, std::vector<V>& dst,
+                const std::vector<index_type>& items)
+{
+    if (items.empty()) {
+        return;
+    }
+    const std::size_t block = dst.size() / items.size();
+    auto out = dst.begin();
+    for (const index_type item : items) {
+        out = std::copy_n(
+            src.begin() + static_cast<std::ptrdiff_t>(
+                              static_cast<std::size_t>(item) * block),
+            block, out);
+    }
+}
+
 }  // namespace
 
 namespace detail {
@@ -106,6 +125,33 @@ assembled<T> gather(const std::vector<assembly_part<T>>& parts,
         compress_storage(out.a);
     }
     gather_into(parts, out.a, out.b, out.x);
+    return out;
+}
+
+template <typename T>
+assembled<T> gather_items(const batch_matrix<T>& a,
+                          const mat::batch_dense<T>& b,
+                          const std::vector<index_type>& items)
+{
+    const auto count = static_cast<index_type>(items.size());
+    assembled<T> out{combined_pattern(a, count),
+                     mat::batch_dense<T>(count, b.rows(), b.cols()),
+                     mat::batch_dense<T>(count, b.rows(), b.cols())};
+    const bool fp32 = storage_of(a) == mat::storage_precision::fp32;
+    if (fp32) {
+        compress_storage(out.a);
+    }
+    std::visit(
+        [&](auto& sub) {
+            const auto& src = std::get<std::decay_t<decltype(sub)>>(a);
+            if (fp32) {
+                copy_items(src.values_fp32(), sub.values_fp32(), items);
+            } else {
+                copy_items(src.values(), sub.values(), items);
+            }
+        },
+        out.a);
+    copy_items(b.values(), out.b.values(), items);
     return out;
 }
 
@@ -189,15 +235,8 @@ bool can_coalesce(const batch_matrix<T>& lhs, const batch_matrix<T>& rhs)
 log::batch_log split_log(const log::batch_log& combined, index_type offset,
                          index_type items)
 {
-    BATCHLIN_ENSURE_DIMS(offset >= 0 && items >= 0 &&
-                             offset + items <= combined.num_systems(),
-                         "log slice out of range");
-    log::batch_log part(items);
-    for (index_type i = 0; i < items; ++i) {
-        part.record(i, combined.iterations(offset + i),
-                    combined.residual_norm(offset + i),
-                    combined.status(offset + i));
-    }
+    log::batch_log part;
+    split_log_into(combined, offset, items, part);
     return part;
 }
 
@@ -225,20 +264,9 @@ solve_result solve_coalesced(xpu::queue& q,
     BATCHLIN_ENSURE_MSG(!opts.record_history,
                         "per-iteration history is not supported for "
                         "coalesced solves");
-    const index_type total_items = detail::validate_assembly(parts);
-
-    if (parts.size() == 1) {
-        // One request already is a batch: no gather/scatter needed, and
-        // the result is trivially identical to a solo solve.
-        return solve(q, *parts.front().a, *parts.front().b,
-                     *parts.front().x, opts);
-    }
-
-    detail::assembled<T> combined = detail::gather(parts, total_items);
-    solve_result result =
-        solve(q, combined.a, combined.b, combined.x, opts);
-    detail::scatter(combined.x, parts);
-    return result;
+    return detail::solve_assembled(
+        parts, [&](const batch_matrix<T>& a, const mat::batch_dense<T>& b,
+                   mat::batch_dense<T>& x) { return solve(q, a, b, x, opts); });
 }
 
 #define BATCHLIN_INSTANTIATE_ASSEMBLE(T)                                    \
@@ -257,7 +285,10 @@ solve_result solve_coalesced(xpu::queue& q,
         const std::vector<assembly_part<T>>&, batch_matrix<T>&,             \
         mat::batch_dense<T>&, mat::batch_dense<T>&);                        \
     template void detail::scatter<T>(const mat::batch_dense<T>&,            \
-                                     const std::vector<assembly_part<T>>&)
+                                     const std::vector<assembly_part<T>>&); \
+    template detail::assembled<T> detail::gather_items<T>(                  \
+        const batch_matrix<T>&, const mat::batch_dense<T>&,                 \
+        const std::vector<index_type>&)
 
 BATCHLIN_INSTANTIATE_ASSEMBLE(float);
 BATCHLIN_INSTANTIATE_ASSEMBLE(double);

@@ -13,6 +13,7 @@
 // solo `solve` calls (tests/test_serve.cpp asserts this).
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "solver/dispatch.hpp"
@@ -100,6 +101,35 @@ void gather_into(const std::vector<assembly_part<T>>& parts,
 template <typename T>
 void scatter(const mat::batch_dense<T>& x,
              const std::vector<assembly_part<T>>& parts);
+
+/// The coalescing skeleton: validates the parts, gathers them into one
+/// combined batch, runs `solve_batch(a, b, x)` on it once, and scatters
+/// the solutions back. A single part is solved in place (no gather or
+/// scatter). Returns what `solve_batch` returns; its per-system records
+/// are in part order.
+template <typename T, typename SolveBatch>
+auto solve_assembled(const std::vector<assembly_part<T>>& parts,
+                     SolveBatch&& solve_batch)
+{
+    const index_type total_items = validate_assembly(parts);
+    if (parts.size() == 1) {
+        return solve_batch(*parts.front().a, *parts.front().b,
+                           *parts.front().x);
+    }
+    assembled<T> combined = gather(parts, total_items);
+    auto result = solve_batch(std::as_const(combined.a),
+                              std::as_const(combined.b), combined.x);
+    scatter(combined.x, parts);
+    return result;
+}
+
+/// Gathers the listed items of `a` and `b` into a fresh batch in list
+/// order, keeping the matrix format and storage mode; `x` is zero. The
+/// re-solve stages of `solve_resilient` run on such subsets.
+template <typename T>
+assembled<T> gather_items(const batch_matrix<T>& a,
+                          const mat::batch_dense<T>& b,
+                          const std::vector<index_type>& items);
 
 }  // namespace detail
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "solver/assemble.hpp"
 #include "solver/residual.hpp"
 #include "solver/resilient.hpp"
 #include "util/error.hpp"
@@ -177,25 +178,6 @@ refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
     return solve_refined(q, a, compressed, b, x, opts, ropts);
 }
 
-template <typename T>
-refined_result solve_refined_coalesced(
-    xpu::queue& q, const std::vector<assembly_part<T>>& parts,
-    const solve_options& opts, const refine_options& ropts)
-{
-    const index_type total_items = detail::validate_assembly(parts);
-
-    if (parts.size() == 1) {
-        return solve_refined(q, *parts.front().a, *parts.front().b,
-                             *parts.front().x, opts, ropts);
-    }
-
-    detail::assembled<T> combined = detail::gather(parts, total_items);
-    refined_result result =
-        solve_refined(q, combined.a, combined.b, combined.x, opts, ropts);
-    detail::scatter(combined.x, parts);
-    return result;
-}
-
 #define BATCHLIN_INSTANTIATE_REFINED(T)                                     \
     template refined_result solve_refined<T>(                               \
         xpu::queue&, const batch_matrix<T>&, const batch_matrix<T>&,        \
@@ -204,10 +186,7 @@ refined_result solve_refined_coalesced(
     template refined_result solve_refined<T>(                               \
         xpu::queue&, const batch_matrix<T>&, const mat::batch_dense<T>&,    \
         mat::batch_dense<T>&, const solve_options&,                         \
-        const refine_options&);                                             \
-    template refined_result solve_refined_coalesced<T>(                     \
-        xpu::queue&, const std::vector<assembly_part<T>>&,                  \
-        const solve_options&, const refine_options&)
+        const refine_options&)
 
 BATCHLIN_INSTANTIATE_REFINED(float);
 BATCHLIN_INSTANTIATE_REFINED(double);

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <numeric>
+#include <optional>
 
 #include "matrix/conversions.hpp"
+#include "solver/assemble.hpp"
 #include "solver/direct.hpp"
 #include "solver/residual.hpp"
-#include "xpu/fault.hpp"
+#include "xpu/retry.hpp"
 
 namespace batchlin::solver {
 namespace {
@@ -19,72 +21,19 @@ double now_seconds()
         .count();
 }
 
-/// Gathers the listed items of a dense multivector into a fresh batch.
+/// The direct terminal stage wants native CSR: dense and ELL convert
+/// losslessly, and fp32 storage widens (the widened values are exactly
+/// the ones the iterative stages solved with).
 template <typename T>
-mat::batch_dense<T> gather_dense(const mat::batch_dense<T>& src,
-                                 const std::vector<index_type>& items)
+mat::batch_csr<T> native_csr(batch_matrix<T> a)
 {
-    mat::batch_dense<T> out(static_cast<index_type>(items.size()),
-                            src.rows(), src.cols());
-    for (index_type j = 0; j < out.num_batch_items(); ++j) {
-        std::copy_n(src.item_values(items[static_cast<std::size_t>(j)]),
-                    src.item_size(), out.item_values(j));
-    }
-    return out;
-}
-
-template <typename T>
-mat::batch_csr<T> gather_items(const mat::batch_csr<T>& src,
-                               const std::vector<index_type>& items)
-{
-    mat::batch_csr<T> out(static_cast<index_type>(items.size()), src.rows(),
-                          src.cols(), src.row_ptrs(), src.col_idxs());
-    for (index_type j = 0; j < out.num_batch_items(); ++j) {
-        std::copy_n(src.item_values(items[static_cast<std::size_t>(j)]),
-                    src.nnz(), out.item_values(j));
-    }
-    return out;
-}
-
-template <typename T>
-mat::batch_ell<T> gather_items(const mat::batch_ell<T>& src,
-                               const std::vector<index_type>& items)
-{
-    mat::batch_ell<T> out(static_cast<index_type>(items.size()), src.rows(),
-                          src.cols(), src.ell_width());
-    out.col_idxs() = src.col_idxs();
-    for (index_type j = 0; j < out.num_batch_items(); ++j) {
-        std::copy_n(src.item_values(items[static_cast<std::size_t>(j)]),
-                    src.stored_per_item(), out.item_values(j));
-    }
-    return out;
-}
-
-template <typename T>
-mat::batch_dense<T> gather_items(const mat::batch_dense<T>& src,
-                                 const std::vector<index_type>& items)
-{
-    return gather_dense(src, items);
-}
-
-/// Gathers the listed items of the matrix batch, keeping its format.
-template <typename T>
-batch_matrix<T> gather_matrix(const batch_matrix<T>& a,
-                              const std::vector<index_type>& items)
-{
-    return std::visit(
-        [&](const auto& m) -> batch_matrix<T> {
-            return gather_items(m, items);
+    std::visit(
+        [](auto& m) {
+            m.set_storage_precision(mat::storage_precision::native);
         },
         a);
-}
-
-/// The direct terminal stage wants CSR; dense and ELL convert losslessly.
-template <typename T>
-mat::batch_csr<T> as_csr(const batch_matrix<T>& a)
-{
-    if (const auto* csr = std::get_if<mat::batch_csr<T>>(&a)) {
-        return *csr;
+    if (auto* csr = std::get_if<mat::batch_csr<T>>(&a)) {
+        return std::move(*csr);
     }
     if (const auto* ell = std::get_if<mat::batch_ell<T>>(&a)) {
         return mat::to_csr(*ell);
@@ -92,9 +41,9 @@ mat::batch_csr<T> as_csr(const batch_matrix<T>& a)
     return mat::to_csr(std::get<mat::batch_dense<T>>(a));
 }
 
-/// Runs one stage over the gathered scope with launch retries. Returns the
-/// per-system log of the scope; on exhausted retries every system of the
-/// scope is marked `device_fault`.
+/// Runs one stage over the gathered scope with launch retries (no
+/// backoff). Returns the per-system log of the scope; on exhausted
+/// retries every system of the scope is marked `device_fault`.
 template <typename T>
 log::batch_log run_stage(xpu::queue& q, const fallback_stage& stage,
                          const batch_matrix<T>& a,
@@ -103,26 +52,24 @@ log::batch_log run_stage(xpu::queue& q, const fallback_stage& stage,
                          index_type& retries_used)
 {
     const index_type n = b.num_batch_items();
-    for (index_type attempt = 0;; ++attempt) {
-        try {
+    xpu::retry_tally tally;
+    std::optional<log::batch_log> lg = xpu::retry_device_faults(
+        {launch_retries}, tally, [&] {
             if (stage.direct) {
-                const mat::batch_csr<T> csr = as_csr(a);
-                log::batch_log lg(n);
-                run_dense_lu(q, csr, b, x, lg, {0, n});
-                return lg;
+                log::batch_log direct_log(n);
+                run_dense_lu(q, native_csr(a), b, x, direct_log, {0, n});
+                return direct_log;
             }
             return solve(q, a, b, x, stage.opts).log;
-        } catch (const xpu::device_error&) {
-            if (attempt >= launch_retries) {
-                log::batch_log lg(n);
-                for (index_type i = 0; i < n; ++i) {
-                    lg.record(i, 0, 0.0, log::solve_status::device_fault);
-                }
-                return lg;
-            }
-            ++retries_used;
+        });
+    retries_used += tally.retries;
+    if (!lg) {
+        lg.emplace(n);
+        for (index_type i = 0; i < n; ++i) {
+            lg->record(i, 0, 0.0, log::solve_status::device_fault);
         }
     }
+    return std::move(*lg);
 }
 
 /// Demotes claimed convergences whose explicit residual violates the
@@ -200,50 +147,33 @@ resilient_result solve_resilient(xpu::queue& q, const batch_matrix<T>& a,
     out.log = log::batch_log(n);
     out.history.resize(static_cast<std::size_t>(n));
 
-    // Stage 0 runs the whole batch in place, so a healthy batch takes the
-    // exact path a plain solve() takes, plus one status scan.
-    const fallback_stage& primary = opts.chain.front();
-    log::batch_log stage_log =
-        run_stage(q, primary, a, b, x, opts.launch_retries,
-                  out.launch_retries_used);
-    if (opts.verify_residuals) {
-        verify_converged(a, b, x, primary.opts.criterion, opts.verify_slack,
-                         stage_log);
-    }
-
-    std::vector<index_type> scope;  // systems still unhealthy
-    for (index_type i = 0; i < n; ++i) {
-        out.history[static_cast<std::size_t>(i)].push_back(
-            {0, stage_log.status(i), stage_log.iterations(i),
-             stage_log.residual_norm(i)});
-        out.log.record(i, stage_log.iterations(i),
-                       stage_log.residual_norm(i), stage_log.status(i));
-        if (stage_log.status(i) == log::solve_status::converged) {
-            ++out.first_try;
-        } else {
-            scope.push_back(i);
-        }
-    }
-
-    for (index_type stage_idx = 1;
+    // `scope` lists the systems still unhealthy. Stage 0 runs the whole
+    // batch in place, so a healthy batch takes the exact path a plain
+    // solve() takes, plus one status scan. Later stages re-solve the scope
+    // as a gathered sub-batch from a zero initial guess: the unhealthy
+    // iterate may carry poisoned values that would instantly re-trip the
+    // non-finite guards.
+    std::vector<index_type> scope(static_cast<std::size_t>(n));
+    std::iota(scope.begin(), scope.end(), index_type{0});
+    for (index_type stage_idx = 0;
          stage_idx < static_cast<index_type>(opts.chain.size()) &&
          !scope.empty();
          ++stage_idx) {
         const fallback_stage& stage =
             opts.chain[static_cast<std::size_t>(stage_idx)];
-        batch_matrix<T> sub_a = gather_matrix(a, scope);
-        mat::batch_dense<T> sub_b = gather_dense(b, scope);
-        // Zero initial guess: the unhealthy iterate may carry poisoned
-        // values that would instantly re-trip the non-finite guards.
-        mat::batch_dense<T> sub_x(static_cast<index_type>(scope.size()),
-                                  x.rows(), x.cols());
-
-        log::batch_log sub_log =
-            run_stage(q, stage, sub_a, sub_b, sub_x, opts.launch_retries,
-                      out.launch_retries_used);
+        std::optional<detail::assembled<T>> sub;
+        if (stage_idx > 0) {
+            sub = detail::gather_items(a, b, scope);
+        }
+        const batch_matrix<T>& sa = sub ? sub->a : a;
+        const mat::batch_dense<T>& sb = sub ? sub->b : b;
+        mat::batch_dense<T>& sx = sub ? sub->x : x;
+        log::batch_log lg = run_stage(q, stage, sa, sb, sx,
+                                      opts.launch_retries,
+                                      out.launch_retries_used);
         if (opts.verify_residuals) {
-            verify_converged(sub_a, sub_b, sub_x, stage.opts.criterion,
-                             opts.verify_slack, sub_log);
+            verify_converged(sa, sb, sx, stage.opts.criterion,
+                             opts.verify_slack, lg);
         }
 
         std::vector<index_type> still_unhealthy;
@@ -251,16 +181,18 @@ resilient_result solve_resilient(xpu::queue& q, const batch_matrix<T>& a,
              j < static_cast<index_type>(scope.size()); ++j) {
             const index_type i = scope[static_cast<std::size_t>(j)];
             out.history[static_cast<std::size_t>(i)].push_back(
-                {stage_idx, sub_log.status(j), sub_log.iterations(j),
-                 sub_log.residual_norm(j)});
-            out.log.record(i, sub_log.iterations(j),
-                           sub_log.residual_norm(j), sub_log.status(j));
-            if (sub_log.status(j) == log::solve_status::converged) {
-                std::copy_n(sub_x.item_values(j), x.item_size(),
+                {stage_idx, lg.status(j), lg.iterations(j),
+                 lg.residual_norm(j)});
+            out.log.record(i, lg.iterations(j), lg.residual_norm(j),
+                           lg.status(j));
+            if (lg.status(j) != log::solve_status::converged) {
+                still_unhealthy.push_back(i);
+            } else if (sub) {
+                std::copy_n(sub->x.item_values(j), x.item_size(),
                             x.item_values(i));
                 ++out.recovered;
             } else {
-                still_unhealthy.push_back(i);
+                ++out.first_try;
             }
         }
         scope = std::move(still_unhealthy);

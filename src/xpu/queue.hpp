@@ -17,6 +17,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -244,11 +245,18 @@ private:
         // Event clocks are only read with profiling enabled (the SYCL
         // `enable_profiling` property costs nothing when off).
         const double start_seconds = profiling_ ? now_seconds() : 0.0;
-        const int max_threads = omp_get_max_threads();
-        prepare_launch(max_threads);
+        // Groups are dealt to host threads in chunks of kGroupChunk, so
+        // never fork more threads than the launch has chunks: the surplus
+        // team members would only spin at the join, which under
+        // oversubscription costs more than the launch itself.
+        const int team = static_cast<int>(std::min<size_type>(
+            omp_get_max_threads(),
+            std::max<size_type>((num_groups + kGroupChunk - 1) / kGroupChunk,
+                                1)));
+        prepare_launch(team);
         size_type slm_high_water = 0;
 
-        if (max_threads == 1) {
+        if (team == 1) {
             // Single-host-thread fast path: the fork/join of the parallel
             // region costs more than a small launch's kernel work. Group
             // order, counter accumulation, and error propagation are the
@@ -297,7 +305,7 @@ private:
         std::exception_ptr first_error = nullptr;
         std::atomic<bool> failed{false};
 
-#pragma omp parallel reduction(max : slm_high_water)
+#pragma omp parallel num_threads(team) reduction(max : slm_high_water)
         {
             const int tid = omp_get_thread_num();
             slm_arena& arena = arena_pool_[tid];
@@ -307,7 +315,7 @@ private:
             check::group_checker* chk =
                 attach_checker(tid, arena, kernel_label);
 #endif
-#pragma omp for schedule(dynamic, 16)
+#pragma omp for schedule(dynamic, kGroupChunk)
             for (index_type g = 0; g < num_groups; ++g) {
                 if (failed.load(std::memory_order_relaxed)) {
                     continue;
@@ -351,7 +359,7 @@ private:
             std::rethrow_exception(first_error);
         }
 
-        for (int t = 0; t < max_threads; ++t) {
+        for (int t = 0; t < team; ++t) {
             launch_stats += thread_stats_[t];
         }
         finish_launch(launch_stats, slm_high_water, start_seconds,
@@ -429,6 +437,9 @@ private:
     /// runtime, and emulating it must do the same so the cost shows up in
     /// end-to-end throughput measurements.
     static void emulate_launch_cost(double us);
+
+    /// Work-groups one host thread takes from a launch at a time.
+    static constexpr index_type kGroupChunk = 16;
 
     /// Ensures per-thread arenas and counter blocks exist for `num_threads`
     /// threads and zeroes the counter blocks. Allocates only when the host

@@ -673,6 +673,58 @@ TEST(Resilient, VerifierCatchesSilentBitflipCorruption)
     }
 }
 
+TEST(Resilient, Fp32StorageMatrixRecoversDownTheChain)
+{
+    // A caller-compressed matrix: the re-solve stages gather its fp32
+    // values, and the dense-LU stage widens its gathered copy to native.
+    // Two CG iterations leave every system unconverged, so the whole
+    // batch walks the chain; each format must recover like the native
+    // control.
+    const index_type items = 4;
+    const index_type rows = 32;
+    const mat::batch_csr<double> csr =
+        work::stencil_3pt<double>(items, rows, 12);
+    const auto b = work::random_rhs<double>(items, rows, 13);
+    solver::solve_options primary;
+    primary.solver = solver::solver_type::cg;
+    primary.criterion = stop::relative(1e-8, 2);
+    solver::resilient_options lu_only;
+    lu_only.chain = {{primary, false}, {primary, true}};
+
+    const std::vector<solver::batch_matrix<double>> formats = {
+        csr, mat::to_ell(csr), mat::to_dense(csr)};
+    for (const solver::batch_matrix<double>& native : formats) {
+        for (const bool compressed : {false, true}) {
+            solver::batch_matrix<double> a = native;
+            if (compressed) {
+                solver::compress_storage(a);
+            }
+            for (const solver::resilient_options& opts :
+                 {solver::default_chain(primary), lu_only}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "format " << a.index() << " compressed "
+                             << compressed << " chain " << opts.chain.size());
+                mat::batch_dense<double> x(items, rows, 1);
+                xpu::queue q(xpu::make_sycl_policy());
+                const solver::resilient_result result =
+                    solver::solve_resilient(q, a, b, x, opts);
+                EXPECT_EQ(result.first_try, 0);
+                EXPECT_EQ(result.recovered, items);
+                EXPECT_EQ(result.failed, 0);
+                const std::vector<double> res =
+                    solver::residual_norms(a, b, x);
+                const auto rhs_norms = host_rhs_norms(b);
+                for (index_type i = 0; i < items; ++i) {
+                    EXPECT_EQ(result.log.status(i), solve_status::converged);
+                    EXPECT_LE(res[static_cast<std::size_t>(i)],
+                              1e-8 * opts.verify_slack *
+                                  rhs_norms[static_cast<std::size_t>(i)]);
+                }
+            }
+        }
+    }
+}
+
 TEST(Resilient, EmptyChainIsRejected)
 {
     const solver::batch_matrix<double> a =

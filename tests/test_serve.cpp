@@ -970,9 +970,9 @@ INSTANTIATE_TEST_SUITE_P(
                       counter_case{bl::xpu::launch_mode::graph_replay, true},
                       counter_case{bl::xpu::launch_mode::persistent, false},
                       counter_case{bl::xpu::launch_mode::persistent, true}),
-    [](const ::testing::TestParamInfo<counter_case>& info) {
-        return bl::xpu::to_string(info.param.mode) +
-               (info.param.refine ? "_refined" : "_plain");
+    [](const ::testing::TestParamInfo<counter_case>& param) {
+        return bl::xpu::to_string(param.param.mode) +
+               (param.param.refine ? "_refined" : "_plain");
     });
 
 TEST(ServeResilience, FaultStormTripsTheBreakerAndSuspendsCoalescing)
